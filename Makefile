@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-maint-stress bench bench-micro bench-insert bench-insert-smoke bench-fault bench-fault-smoke bench-query bench-query-smoke bench-quant bench-quant-smoke bench-maint bench-maint-smoke bench-reshard bench-reshard-smoke bench-cache bench-cache-smoke paper examples clean
+.PHONY: install test test-maint-stress bench bench-e2e bench-micro bench-insert bench-insert-smoke bench-fault bench-fault-smoke bench-query bench-query-smoke bench-quant bench-quant-smoke bench-maint bench-maint-smoke bench-reshard bench-reshard-smoke bench-cache bench-cache-smoke paper examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -11,6 +11,13 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The repo's one end-to-end benchmark (benchmarks/e2e/README.md), one
+# workload per run: bulk_ingest, pipeline_hnsw, serving_skewed or mixed_rw.
+WORKLOAD ?= pipeline_hnsw
+SEED ?= 1
+bench-e2e:
+	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --seed $(SEED)
 
 # Real-database micro-benchmarks (batched vs per-query, parallel fan-out
 # and builds) — plain pytest so the latency/overlap asserts also run.

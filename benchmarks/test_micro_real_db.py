@@ -285,24 +285,6 @@ def test_cluster_parallel_build_beats_serial(bench_points, query_vectors):
         )
 
 
-def test_compiled_hnsw_not_slower_than_dict_form(hnsw_collection, query_vectors):
-    """Honest pure-compute check: the compiled CSR form must not lose to the
-    dict form on single queries (both sit near the same interpreter floor at
-    this scale; the batched wins above come from transport amortisation)."""
-    seg = hnsw_collection.segments[0]
-    index = seg.index
-    reqs = [SearchRequest(vector=v, limit=10) for v in query_vectors[:16]]
-
-    index.compile()
-    t_compiled = _best_of(lambda: [hnsw_collection.search(r) for r in reqs], repeats=5)
-    index.decompile()
-    t_dict = _best_of(lambda: [hnsw_collection.search(r) for r in reqs], repeats=5)
-    index.compile()
-    assert t_compiled < t_dict * 1.25, (
-        f"compiled {t_compiled * 1e3:.1f}ms vs dict {t_dict * 1e3:.1f}ms for 16 queries"
-    )
-
-
 def test_disabled_tracing_overhead_under_5pct(bench_points, query_vectors):
     """Acceptance: instrumentation is always compiled in, so its *disabled*
     cost must stay <=5% of the hot query path.  Differencing two noisy

@@ -26,17 +26,26 @@ standard post-filtering strategy for graph indexes.
 Neighbour distance evaluations are batched per hop (one BLAS matvec per
 popped node) per the vectorization idiom, instead of per-edge Python loops.
 
-Two graph representations coexist:
+Adjacency is array-backed, the way hnswlib holds it, and there is one
+representation for construction and search:
 
-* the **incremental dict form** (``_Node`` objects with per-layer Python
-  lists) supports ``add`` and is what construction mutates;
-* the **compiled CSR form** (:meth:`compile`) freezes the adjacency into
-  flat ``indptr``/``indices`` arrays per layer, with an epoch-tagged
-  visited bitset and zero per-hop list→ndarray conversions.  Sealed
-  segments compile automatically; searching a compiled graph returns
-  *bit-identical* results to the dict form (same traversal order, same
-  BLAS calls on the same rows) — only faster.  Any ``add`` invalidates the
-  compiled form, falling back to the dict graph.
+* **layer 0** is a ``(capacity, 2M)`` int64 link matrix indexed by arena
+  offset that grows with the arena, plus a degree vector.  Unused slots of
+  a row hold the row's own offset; a beam has always visited the node it
+  expands, so padding drops out in the visited test and a hop reads a whole
+  row without consulting the degree;
+* **upper layers** are sparse (one node in ``M`` reaches layer 1): a dict
+  from offset to one exact-length array per layer, replaced on every link.
+
+One beam (:meth:`_search_layer`) serves ``add`` and ``search`` alike, so an
+``add`` never moves searches onto a slower path.  :meth:`compile` seals the
+graph by trimming the arrays' spare capacity; it changes no result.
+
+Thread safety: any number of searches may overlap each other and one
+writer's ``add``.  Every beam checks its own epoch-tagged visited array out
+of a free list, copies the row it expands in one call, and row updates are
+single assignments, so a reader sees each row either before or after a
+relink, never half of one.
 """
 
 from __future__ import annotations
@@ -55,39 +64,26 @@ from .base import IndexStats, OffsetPredicate
 
 __all__ = ["HnswIndex"]
 
-
-class _Node:
-    """Per-offset adjacency: one neighbour list per layer 0..level."""
-
-    __slots__ = ("offset", "level", "neighbors")
-
-    def __init__(self, offset: int, level: int):
-        self.offset = offset
-        self.level = level
-        self.neighbors: list[list[int]] = [[] for _ in range(level + 1)]
+_NO_LINKS = np.empty(0, dtype=np.int64)
 
 
-class _CompiledGraph:
-    """Flat CSR adjacency per layer, indexed directly by arena offset.
+class _Visited:
+    """Epoch-tagged visit marks, held by one beam search at a time.
 
-    ``layers[L]`` is ``(indptr, indices)``: the layer-``L`` neighbours of
-    offset ``o`` are ``indices[indptr[o]:indptr[o+1]]``.  ``visited`` is an
-    epoch-tagged int32 array reused across queries — bumping ``epoch``
-    clears it in O(1) instead of reallocating a set per search.
+    Bumping ``epoch`` clears the marks in O(1) instead of reallocating a
+    set per search.
     """
 
-    __slots__ = ("layers", "vectors", "visited", "epoch")
+    __slots__ = ("marks", "epoch")
 
-    def __init__(self, layers: list[tuple[np.ndarray, np.ndarray]], vectors: np.ndarray):
-        self.layers = layers
-        self.vectors = vectors
-        self.visited = np.zeros(vectors.shape[0], dtype=np.int32)
+    def __init__(self, size: int):
+        self.marks = np.zeros(size, dtype=np.int32)
         self.epoch = 0
 
     def next_epoch(self) -> int:
         self.epoch += 1
         if self.epoch >= np.iinfo(np.int32).max:
-            self.visited[:] = 0
+            self.marks[:] = 0
             self.epoch = 1
         return self.epoch
 
@@ -100,13 +96,19 @@ class HnswIndex:
         self.distance = distance
         self.config = config or HnswConfig()
         self.stats = IndexStats()
-        self._nodes: dict[int, _Node] = {}
         self._entry_point: int | None = None
         self._max_level = -1
         self._ml = 1.0 / math.log(self.config.m)
         self._rng = np.random.default_rng(self.config.seed)
         self._m0 = 2 * self.config.m
-        self._compiled: _CompiledGraph | None = None
+        self._size = 0
+        self._links = np.empty((0, self._m0), dtype=np.int64)
+        self._deg = np.zeros(0, dtype=np.int32)
+        self._level = np.zeros(0, dtype=np.int16)  # -1: offset not in the index
+        self._upper: dict[int, list[np.ndarray]] = {}
+        self._sealed = False
+        #: Free list of visited scratch; a beam pops one and pushes it back.
+        self._scratch: list[_Visited] = []
         self._qstore: CodeStore | None = None
         self._quantizer: ScalarQuantizer | None = None
         #: Quantized-traversal counters (aggregated by cluster telemetry).
@@ -116,7 +118,7 @@ class HnswIndex:
 
     @property
     def size(self) -> int:
-        return len(self._nodes)
+        return self._size
 
     @property
     def supports_incremental_add(self) -> bool:
@@ -124,7 +126,7 @@ class HnswIndex:
 
     @property
     def is_compiled(self) -> bool:
-        return self._compiled is not None
+        return self._sealed
 
     @property
     def entry_point(self) -> int | None:
@@ -153,14 +155,24 @@ class HnswIndex:
         self._qstore = None
         self._quantizer = None
 
+    def _has(self, offset: int) -> bool:
+        return 0 <= offset < self._level.shape[0] and self._level[offset] >= 0
+
+    def level_of(self, offset: int) -> int:
+        """Top layer of ``offset`` (used by tests and graph diagnostics)."""
+        if not self._has(offset):
+            raise KeyError(offset)
+        return int(self._level[offset])
+
     def neighbors_of(self, offset: int, layer: int = 0) -> list[int]:
         """Adjacency introspection (used by tests and graph diagnostics)."""
-        node = self._nodes[offset]
-        return list(node.neighbors[layer]) if layer <= node.level else []
+        return self._row(offset, layer).tolist() if layer <= self.level_of(offset) else []
 
     def edge_count(self) -> int:
         """Total directed edges across all layers."""
-        return sum(len(nbrs) for node in self._nodes.values() for nbrs in node.neighbors)
+        return int(self._deg.sum()) + sum(
+            row.size for rows in self._upper.values() for row in rows
+        )
 
     # -- distance helpers -----------------------------------------------------
     # Internal convention: smaller is better.
@@ -173,9 +185,9 @@ class HnswIndex:
             return float(diff @ diff)
         return -float(vec @ query)
 
-    def _dist_many(self, query: np.ndarray, offsets: list[int]) -> np.ndarray:
+    def _dist_many(self, query: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         self.stats.distance_computations += len(offsets)
-        matrix = self._arena.take(np.asarray(offsets, dtype=np.int64))
+        matrix = self._arena.take(offsets)
         if self.distance is Distance.EUCLID:
             diff = matrix - query
             return np.einsum("ij,ij->i", diff, diff)
@@ -186,6 +198,51 @@ class HnswIndex:
 
     def _prepare(self, vector: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(vector, dtype=np.float32)
+
+    # -- adjacency ----------------------------------------------------------------
+
+    def _reserve(self, offset: int) -> None:
+        """Grow the per-offset arrays to the arena's capacity.
+
+        The link matrix never has more rows than the arena, and a beam reads
+        ``_links`` before the arena buffer: every offset it can meet in the
+        matrix it holds indexes the (same or newer) buffer and its own
+        visited array, whatever a concurrent ``add`` does meanwhile.
+        """
+        old = self._links.shape[0]
+        if offset < old:
+            return
+        cap = self._arena.capacity
+        links = np.empty((cap, self._m0), dtype=np.int64)
+        links[:old] = self._links
+        links[old:] = np.arange(old, cap)[:, None]  # unused slots name the row's own node
+        deg = np.zeros(cap, dtype=np.int32)
+        deg[:old] = self._deg
+        level = np.full(cap, -1, dtype=np.int16)
+        level[:old] = self._level
+        self._links, self._deg, self._level = links, deg, level
+
+    def _insert_node(self, offset: int, level: int) -> None:
+        """Register ``offset`` with empty links on layers 0..level."""
+        self._reserve(offset)
+        self._level[offset] = level
+        if level:
+            self._upper[offset] = [_NO_LINKS] * level
+        self._size += 1
+
+    def _row(self, offset: int, layer: int) -> np.ndarray:
+        if layer:
+            return self._upper[offset][layer - 1]
+        return self._links[offset, : self._deg[offset]]
+
+    def _set_row(self, offset: int, layer: int, nbrs) -> None:
+        if layer:
+            self._upper[offset][layer - 1] = np.asarray(nbrs, dtype=np.int64)
+            return
+        row = np.full(self._m0, offset, dtype=np.int64)
+        row[: len(nbrs)] = nbrs
+        self._links[offset] = row  # one assignment: readers never see half a relink
+        self._deg[offset] = len(nbrs)
 
     # -- construction -----------------------------------------------------------
 
@@ -198,13 +255,12 @@ class HnswIndex:
 
     def add(self, offset: int, vector: np.ndarray) -> None:
         """Insert one vector (Algorithm 1)."""
-        if offset in self._nodes:
+        if self._has(offset):
             raise ValueError(f"offset {offset} already in index")
-        self._compiled = None  # any mutation invalidates the sealed CSR form
+        self._sealed = False
         query = self._prepare(vector)
         level = self._assign_level()
-        node = _Node(offset, level)
-        self._nodes[offset] = node
+        self._insert_node(offset, level)
         self.stats.inserts += 1
 
         if self._entry_point is None:
@@ -219,20 +275,26 @@ class HnswIndex:
         for layer in range(self._max_level, level, -1):
             ep, ep_dist = self._greedy_step(query, ep, ep_dist, layer)
 
-        # Beam search + heuristic linking on layers min(level, max_level)..0.
+        # Beam search + heuristic selection on layers min(level, max_level)..0.
+        linked: list[list[int]] = []
         for layer in range(min(level, self._max_level), -1, -1):
             candidates = self._search_layer(query, [(ep_dist, ep)], self.config.ef_construct, layer)
-            m_max = self._m0 if layer == 0 else self.config.m
             selected = self._select_heuristic(candidates, self.config.m)
-            node.neighbors[layer] = [o for _, o in selected]
-            for dist, nbr in selected:
-                self._link(nbr, offset, dist, layer, m_max)
+            linked.append([o for _, o in selected])
+            self._set_row(offset, layer, linked[-1])
             if candidates:
                 ep_dist, ep = min(candidates)
+        # Back-links last, bottom layer first: a concurrent search can reach
+        # the node only through one, and by then every row it will read there
+        # is in place.  Layer L's back-links touch layer-L rows only, which no
+        # lower beam reads, so the graph is the one linking per layer builds.
+        for layer, nbrs in enumerate(reversed(linked)):
+            for nbr in nbrs:
+                self._link(nbr, offset, layer, self.config.m if layer else self._m0)
 
         if level > self._max_level:
-            self._max_level = level
             self._entry_point = offset
+            self._max_level = level
 
     def build(self, vectors: np.ndarray, offsets: np.ndarray) -> None:
         """Bulk build by sequential insertion (deferred-index path of §3.3)."""
@@ -241,21 +303,32 @@ class HnswIndex:
             self.add(int(off), vec)
 
     def _greedy_step(self, query, ep: int, ep_dist: float, layer: int) -> tuple[int, float]:
-        """Descend one layer greedily to the local minimum (Algorithm 2, ef=1)."""
+        """Descend one upper layer greedily to the local minimum (Algorithm 2, ef=1)."""
+        upper = self._upper
         improved = True
         while improved:
             improved = False
-            nbrs = self._nodes[ep].neighbors[layer]
-            if not nbrs:
+            nbrs = upper[ep][layer - 1]
+            if nbrs.size == 0:
                 break
             dists = self._dist_many(query, nbrs)
             self.stats.hops += 1
             best = int(np.argmin(dists))
             if dists[best] < ep_dist:
-                ep = nbrs[best]
+                ep = int(nbrs[best])
                 ep_dist = float(dists[best])
                 improved = True
         return ep, ep_dist
+
+    def _checkout(self, size: int) -> _Visited:
+        """Visited scratch for one beam; the caller appends it back to
+        ``_scratch`` when done.  Overlapping beams (other threads, a
+        predicate that searches, a writer's ``add``) each hold their own."""
+        try:
+            scratch = self._scratch.pop()
+        except IndexError:
+            return _Visited(size)
+        return scratch if scratch.marks.shape[0] >= size else _Visited(size)
 
     def _search_layer(
         self,
@@ -271,36 +344,79 @@ class HnswIndex:
         traversal still flows through non-matching nodes (to preserve
         navigability) but only matching offsets enter the result heap.
         """
-        visited = {o for _, o in entry}
-        # candidates: min-heap by distance; results: max-heap (negated).
-        candidates = list(entry)
-        heapq.heapify(candidates)
-        if predicate is None:
-            results = [(-d, o) for d, o in entry]
-        else:
-            results = [(-d, o) for d, o in entry if predicate(o)]
-        heapq.heapify(results)
+        links = self._links  # before the arena buffer: see _reserve
+        vectors = self._arena.buffer()
+        upper = self._upper
+        scratch = self._checkout(links.shape[0])
+        try:
+            visited = scratch.marks
+            epoch = scratch.next_epoch()
+            for _, o in entry:
+                visited[o] = epoch
+            # candidates: min-heap by distance; results: max-heap (negated).
+            candidates = list(entry)
+            heapq.heapify(candidates)
+            if predicate is None:
+                results = [(-d, o) for d, o in entry]
+            else:
+                results = [(-d, o) for d, o in entry if predicate(o)]
+            heapq.heapify(results)
 
-        while candidates:
-            dist, current = heapq.heappop(candidates)
-            if results and len(results) >= ef and dist > -results[0][0]:
-                break
-            nbrs = [o for o in self._nodes[current].neighbors[layer] if o not in visited]
-            if not nbrs:
-                continue
-            visited.update(nbrs)
-            dists = self._dist_many(query, nbrs)
-            self.stats.hops += 1
-            bound = -results[0][0] if len(results) >= ef else math.inf
-            for nbr_dist, nbr in zip(dists, nbrs):
-                nbr_dist = float(nbr_dist)
-                if nbr_dist < bound or len(results) < ef:
-                    heapq.heappush(candidates, (nbr_dist, nbr))
-                    if predicate is None or predicate(nbr):
-                        heapq.heappush(results, (-nbr_dist, nbr))
-                        if len(results) > ef:
-                            heapq.heappop(results)
-                        bound = -results[0][0] if len(results) >= ef else math.inf
+            heappush = heapq.heappush
+            heappop = heapq.heappop
+            euclid = self.distance is Distance.EUCLID
+            nres = len(results)
+            # ``bound`` is ``-results[0][0]`` whenever the heap is full and
+            # +inf before that.
+            bound = -results[0][0] if nres >= ef else math.inf
+            hops = 0
+            dcs = 0
+
+            while candidates:
+                dist, current = heappop(candidates)
+                if nres >= ef and dist > bound:
+                    break
+                row = upper[current][layer - 1] if layer else links[current].copy()
+                fresh = row[visited[row] != epoch]
+                if fresh.size == 0:
+                    continue
+                visited[fresh] = epoch
+                dcs += fresh.size
+                matrix = vectors[fresh]
+                if euclid:
+                    diff = matrix - query
+                    dists = np.einsum("ij,ij->i", diff, diff)
+                else:
+                    dists = matrix @ query
+                    np.negative(dists, out=dists)
+                hops += 1
+                if nres >= ef:
+                    # Exact pre-filter: once the result heap is full the bound only
+                    # shrinks, so anything at or above the hop-entry bound would be
+                    # rejected by the sequential admission test too.  Survivors
+                    # still run through the identical per-neighbour logic below.
+                    keep = dists < bound
+                    nkeep = np.count_nonzero(keep)
+                    if nkeep != keep.shape[0]:
+                        if nkeep == 0:
+                            continue
+                        dists = dists[keep]
+                        fresh = fresh[keep]
+                for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
+                    if nbr_dist < bound or nres < ef:
+                        heappush(candidates, (nbr_dist, nbr))
+                        if predicate is None or predicate(nbr):
+                            heappush(results, (-nbr_dist, nbr))
+                            if nres == ef:
+                                heappop(results)
+                            else:
+                                nres += 1
+                            if nres >= ef:
+                                bound = -results[0][0]
+        finally:
+            self._scratch.append(scratch)
+        self.stats.hops += hops
+        self.stats.distance_computations += dcs
         return [(-nd, o) for nd, o in results]
 
     def _select_heuristic(
@@ -310,198 +426,80 @@ class HnswIndex:
 
         A candidate is kept only if it is closer to the base point than to
         every already-selected neighbour; this spreads links across
-        directions instead of clustering them.
+        directions instead of clustering them.  Candidate offsets must be
+        distinct.
         """
         ordered = sorted(candidates)
-        selected: list[tuple[float, int]] = []
+        n = len(ordered)
+        if n <= 1:
+            return ordered[:m]
         # One pairwise kernel call over the candidate set replaces the
         # per-pair arena.get + Python dot products of the naive rule.
-        pair: np.ndarray | None = None
-        if len(ordered) > 1:
-            offs = np.fromiter((o for _, o in ordered), dtype=np.int64, count=len(ordered))
-            vecs = self._arena.take(offs)
-            if self.distance is Distance.EUCLID:
-                diff = vecs[:, None, :] - vecs[None, :, :]
-                pair = np.einsum("ijk,ijk->ij", diff, diff)
-            else:
-                pair = -(vecs @ vecs.T)
-            self.stats.distance_computations += len(ordered) * (len(ordered) - 1) // 2
-        selected_rows: list[int] = []
-        for row, (dist, offset) in enumerate(ordered):
-            if len(selected) >= m:
+        offs = np.fromiter((o for _, o in ordered), dtype=np.int64, count=n)
+        vecs = self._arena.take(offs)
+        if self.distance is Distance.EUCLID:
+            diff = vecs[:, None, :] - vecs[None, :, :]
+            pair = np.einsum("ijk,ijk->ij", diff, diff)
+        else:
+            pair = -(vecs @ vecs.T)
+        self.stats.distance_computations += n * (n - 1) // 2
+        # closer[r, s]: candidate r is nearer to candidate s than to the base,
+        # so selecting s rules r out.  Selecting s therefore blocks *column*
+        # s — ``pair`` comes out of a GEMM and is not symmetric in the last
+        # bit, so the row would choose a different graph.
+        dists = np.fromiter((d for d, _ in ordered), dtype=np.float32, count=n)
+        closer = pair < dists[:, None]
+        blocked = np.zeros(n, dtype=bool)
+        rows: list[int] = []
+        row = 0
+        while len(rows) < m and row < n:
+            row += int(blocked[row:].argmin())  # first candidate not ruled out yet
+            if blocked[row]:
                 break
-            if selected_rows and bool((pair[row, selected_rows] < dist).any()):
-                continue  # closer to an already-selected neighbour than to the base
-            selected.append((dist, offset))
-            selected_rows.append(row)
-        if len(selected) < m:
+            rows.append(row)
+            blocked |= closer[:, row]
+            row += 1
+        if len(rows) < m:
             # Back-fill with nearest rejected candidates (keepPrunedConnections).
-            chosen = {o for _, o in selected}
-            for dist, offset in ordered:
-                if len(selected) >= m:
-                    break
-                if offset not in chosen:
-                    selected.append((dist, offset))
-                    chosen.add(offset)
-        return selected
+            chosen = set(rows)
+            rows += [r for r in range(n) if r not in chosen][: m - len(rows)]
+        return [ordered[r] for r in rows]
 
-    def _link(self, from_offset: int, to_offset: int, dist: float, layer: int, m_max: int) -> None:
+    def _link(self, src: int, dst: int, layer: int, m_max: int) -> None:
         """Add a back-edge, shrinking the neighbour list if it overflows."""
-        node = self._nodes[from_offset]
-        nbrs = node.neighbors[layer]
-        nbrs.append(to_offset)
-        if len(nbrs) <= m_max:
+        nbrs = self._row(src, layer)
+        if not layer and nbrs.size < m_max:
+            self._links[src, nbrs.size] = dst
+            self._deg[src] += 1
             return
-        base = self._arena.get(from_offset)
-        dists = self._dist_many(base, nbrs)
-        candidates = [(float(d), o) for d, o in zip(dists, nbrs)]
-        node.neighbors[layer] = [o for _, o in self._select_heuristic(candidates, m_max)]
+        nbrs = np.append(nbrs, dst)
+        if nbrs.size > m_max:
+            dists = self._dist_many(self._arena.get(src), nbrs)
+            kept = self._select_heuristic(list(zip(dists.tolist(), nbrs.tolist())), m_max)
+            nbrs = [o for _, o in kept]
+        self._set_row(src, layer, nbrs)
 
-    # -- compiled CSR form -------------------------------------------------------
+    # -- sealed form ---------------------------------------------------------------
 
     def compile(self) -> None:
-        """Freeze the graph into flat CSR adjacency arrays (sealed form).
+        """Seal the graph: trim the per-offset arrays to the arena's length.
 
-        Idempotent.  The dict form is retained (``to_arrays``, introspection
-        and future ``add`` keep working); search simply dispatches to the
-        CSR traversal until the next mutation invalidates it.
+        Idempotent, and a pure representation change — construction and
+        search read the same arrays through the same beam before and after,
+        so results are bit-identical.  The next ``add`` unseals and regrows.
         """
-        if self._compiled is not None or self._entry_point is None:
+        if self._sealed or self._entry_point is None:
             return
         n = len(self._arena)
-        layers: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer in range(self._max_level + 1):
-            counts = np.zeros(n + 1, dtype=np.int64)
-            for off, node in self._nodes.items():
-                if layer <= node.level:
-                    counts[off + 1] = len(node.neighbors[layer])
-            indptr = np.cumsum(counts)
-            indices = np.empty(int(indptr[-1]), dtype=np.int64)
-            for off, node in self._nodes.items():
-                if layer <= node.level:
-                    nbrs = node.neighbors[layer]
-                    start = indptr[off]
-                    indices[start : start + len(nbrs)] = nbrs
-            layers.append((indptr, indices))
-        # arena.view() is the same memory _dist_many gathers from, so scores
-        # computed against it are bit-identical to the dict path's.
-        self._compiled = _CompiledGraph(layers, self._arena.view())
+        if self._links.shape[0] > n:
+            self._links = self._links[:n].copy()
+            self._deg = self._deg[:n].copy()
+            self._level = self._level[:n].copy()
+        self._sealed = True
 
     def decompile(self) -> None:
-        """Drop the CSR form, reverting search to the incremental dict graph."""
-        self._compiled = None
-
-    def _dist_many_c(self, query: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
-        """CSR-path scoring: same math as :meth:`_dist_many`, no list churn."""
-        self.stats.distance_computations += int(nbrs.size)
-        matrix = self._compiled.vectors[nbrs]
-        if self.distance is Distance.EUCLID:
-            diff = matrix - query
-            return np.einsum("ij,ij->i", diff, diff)
-        return -(matrix @ query)
-
-    def _greedy_step_c(self, query, ep: int, ep_dist: float, layer: int) -> tuple[int, float]:
-        """Compiled twin of :meth:`_greedy_step` (Algorithm 2, ef=1)."""
-        indptr, indices = self._compiled.layers[layer]
-        improved = True
-        while improved:
-            improved = False
-            nbrs = indices[indptr[ep] : indptr[ep + 1]]
-            if nbrs.size == 0:
-                break
-            dists = self._dist_many_c(query, nbrs)
-            self.stats.hops += 1
-            best = int(np.argmin(dists))
-            if dists[best] < ep_dist:
-                ep = int(nbrs[best])
-                ep_dist = float(dists[best])
-                improved = True
-        return ep, ep_dist
-
-    def _search_layer_c(
-        self,
-        query: np.ndarray,
-        entry: list[tuple[float, int]],
-        ef: int,
-        layer: int,
-        predicate: OffsetPredicate | None = None,
-    ) -> list[tuple[float, int]]:
-        """Compiled twin of :meth:`_search_layer`.
-
-        Traversal order, heap contents and admission decisions mirror the
-        dict form exactly; the differences are mechanical — an epoch-tagged
-        visited array instead of a Python set, and CSR slices instead of
-        per-node list comprehensions.
-        """
-        comp = self._compiled
-        indptr, indices = comp.layers[layer]
-        vectors = comp.vectors
-        visited = comp.visited
-        epoch = comp.next_epoch()
-        for _, o in entry:
-            visited[o] = epoch
-        candidates = list(entry)
-        heapq.heapify(candidates)
-        if predicate is None:
-            results = [(-d, o) for d, o in entry]
-        else:
-            results = [(-d, o) for d, o in entry if predicate(o)]
-        heapq.heapify(results)
-
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        euclid = self.distance is Distance.EUCLID
-        nres = len(results)
-        # ``bound`` mirrors ``-results[0][0]`` whenever the heap is full and is
-        # +inf before that, exactly like the dict form's recomputed expression.
-        bound = -results[0][0] if nres >= ef else math.inf
-        hops = 0
-        dcs = 0
-
-        while candidates:
-            dist, current = heappop(candidates)
-            if nres >= ef and dist > bound:
-                break
-            row = indices[indptr[current] : indptr[current + 1]]
-            fresh = row[visited[row] != epoch]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = epoch
-            dcs += fresh.size
-            matrix = vectors[fresh]
-            if euclid:
-                diff = matrix - query
-                dists = np.einsum("ij,ij->i", diff, diff)
-            else:
-                dists = matrix @ query
-                np.negative(dists, out=dists)
-            hops += 1
-            if nres >= ef:
-                # Exact pre-filter: once the result heap is full the bound only
-                # shrinks, so anything at or above the hop-entry bound would be
-                # rejected by the sequential admission test too.  Survivors
-                # still run through the identical per-neighbour logic below.
-                keep = dists < bound
-                nkeep = np.count_nonzero(keep)
-                if nkeep != keep.shape[0]:
-                    if nkeep == 0:
-                        continue
-                    dists = dists[keep]
-                    fresh = fresh[keep]
-            for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
-                if nbr_dist < bound or nres < ef:
-                    heappush(candidates, (nbr_dist, nbr))
-                    if predicate is None or predicate(nbr):
-                        heappush(results, (-nbr_dist, nbr))
-                        if nres == ef:
-                            heappop(results)
-                        else:
-                            nres += 1
-                        if nres >= ef:
-                            bound = -results[0][0]
-        self.stats.hops += hops
-        self.stats.distance_computations += dcs
-        return [(-nd, o) for nd, o in results]
+        """Mark the graph unsealed (the arrays regrow on the next ``add``)."""
+        self._sealed = False
 
     # -- quantized traversal -----------------------------------------------------
 
@@ -524,12 +522,12 @@ class HnswIndex:
     def _greedy_step_q(
         self, qq: QuantizedQuery, ep: int, ep_dist: float, layer: int
     ) -> tuple[int, float]:
-        """Quantized twin of :meth:`_greedy_step_c` (Algorithm 2, ef=1)."""
-        indptr, indices = self._compiled.layers[layer]
+        """Quantized twin of :meth:`_greedy_step` (Algorithm 2, ef=1)."""
+        upper = self._upper
         improved = True
         while improved:
             improved = False
-            nbrs = indices[indptr[ep] : indptr[ep + 1]]
+            nbrs = upper[ep][layer - 1]
             if nbrs.size == 0:
                 break
             dists = self._qdist_many(qq, nbrs)
@@ -546,60 +544,62 @@ class HnswIndex:
         qq: QuantizedQuery,
         entry: list[tuple[float, int]],
         ef: int,
-        layer: int,
         predicate: OffsetPredicate | None = None,
     ) -> list[tuple[float, int]]:
-        """Quantized twin of :meth:`_search_layer_c`: identical beam logic,
-        neighbour distances come from codes instead of float vectors."""
-        comp = self._compiled
-        indptr, indices = comp.layers[layer]
-        visited = comp.visited
-        epoch = comp.next_epoch()
-        for _, o in entry:
-            visited[o] = epoch
-        candidates = list(entry)
-        heapq.heapify(candidates)
-        if predicate is None:
-            results = [(-d, o) for d, o in entry]
-        else:
-            results = [(-d, o) for d, o in entry if predicate(o)]
-        heapq.heapify(results)
+        """Quantized twin of :meth:`_search_layer` on layer 0: identical beam
+        logic, neighbour distances come from codes instead of float vectors."""
+        links = self._links
+        scratch = self._checkout(links.shape[0])
+        try:
+            visited = scratch.marks
+            epoch = scratch.next_epoch()
+            for _, o in entry:
+                visited[o] = epoch
+            candidates = list(entry)
+            heapq.heapify(candidates)
+            if predicate is None:
+                results = [(-d, o) for d, o in entry]
+            else:
+                results = [(-d, o) for d, o in entry if predicate(o)]
+            heapq.heapify(results)
 
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        nres = len(results)
-        bound = -results[0][0] if nres >= ef else math.inf
+            heappush = heapq.heappush
+            heappop = heapq.heappop
+            nres = len(results)
+            bound = -results[0][0] if nres >= ef else math.inf
 
-        while candidates:
-            dist, current = heappop(candidates)
-            if nres >= ef and dist > bound:
-                break
-            row = indices[indptr[current] : indptr[current + 1]]
-            fresh = row[visited[row] != epoch]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = epoch
-            dists = self._qdist_many(qq, fresh)
-            self.stats.hops += 1
-            if nres >= ef:
-                keep = dists < bound
-                nkeep = np.count_nonzero(keep)
-                if nkeep != keep.shape[0]:
-                    if nkeep == 0:
-                        continue
-                    dists = dists[keep]
-                    fresh = fresh[keep]
-            for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
-                if nbr_dist < bound or nres < ef:
-                    heappush(candidates, (nbr_dist, nbr))
-                    if predicate is None or predicate(nbr):
-                        heappush(results, (-nbr_dist, nbr))
-                        if nres == ef:
-                            heappop(results)
-                        else:
-                            nres += 1
-                        if nres >= ef:
-                            bound = -results[0][0]
+            while candidates:
+                dist, current = heappop(candidates)
+                if nres >= ef and dist > bound:
+                    break
+                row = links[current].copy()
+                fresh = row[visited[row] != epoch]
+                if fresh.size == 0:
+                    continue
+                visited[fresh] = epoch
+                dists = self._qdist_many(qq, fresh)
+                self.stats.hops += 1
+                if nres >= ef:
+                    keep = dists < bound
+                    nkeep = np.count_nonzero(keep)
+                    if nkeep != keep.shape[0]:
+                        if nkeep == 0:
+                            continue
+                        dists = dists[keep]
+                        fresh = fresh[keep]
+                for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
+                    if nbr_dist < bound or nres < ef:
+                        heappush(candidates, (nbr_dist, nbr))
+                        if predicate is None or predicate(nbr):
+                            heappush(results, (-nbr_dist, nbr))
+                            if nres == ef:
+                                heappop(results)
+                            else:
+                                nres += 1
+                            if nres >= ef:
+                                bound = -results[0][0]
+        finally:
+            self._scratch.append(scratch)
         return [(-nd, o) for nd, o in results]
 
     def _search_quantized(
@@ -619,16 +619,16 @@ class HnswIndex:
         t0 = time.perf_counter()
         ep = self._entry_point
         ep_dist = float(self._qdist_many(qq, np.asarray([ep], dtype=np.int64))[0])
-        for layer in range(self._max_level, 0, -1):
+        for layer in range(int(self._level[ep]), 0, -1):
             ep, ep_dist = self._greedy_step_q(qq, ep, ep_dist, layer)
-        results = self._search_layer_q(qq, [(ep_dist, ep)], ef_eff, 0, predicate)
+        results = self._search_layer_q(qq, [(ep_dist, ep)], ef_eff, predicate)
         registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
         if not results:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         if rescore:
             t0 = time.perf_counter()
             offs = np.asarray(sorted(o for _, o in results), dtype=np.int64)
-            exact = np.asarray(self._dist_many(query, offs.tolist()))
+            exact = np.asarray(self._dist_many(query, offs))
             order = np.lexsort((offs, exact))[:k]
             offsets = offs[order]
             scores = np.asarray(
@@ -657,15 +657,14 @@ class HnswIndex:
         exactly — no rebuild, which is what lets a stateless worker fetch a
         prebuilt index from durable storage (§2.2).
         """
-        offsets = np.asarray(sorted(self._nodes), dtype=np.int64)
-        levels = np.asarray([self._nodes[o].level for o in offsets], dtype=np.int32)
+        offsets = np.flatnonzero(self._level >= 0)
+        levels = self._level[offsets].astype(np.int32)
         flat: list[int] = []
         ranges = []  # (offset_idx, layer, start, end)
-        for idx, off in enumerate(offsets):
-            node = self._nodes[off]
-            for layer, nbrs in enumerate(node.neighbors):
+        for idx, (off, level) in enumerate(zip(offsets.tolist(), levels.tolist())):
+            for layer in range(level + 1):
                 start = len(flat)
-                flat.extend(nbrs)
+                flat.extend(self._row(off, layer).tolist())
                 ranges.append((idx, layer, start, len(flat)))
         return {
             "offsets": offsets,
@@ -682,13 +681,11 @@ class HnswIndex:
         """Reconstruct an index from :meth:`to_arrays` output."""
         index = cls(arena, distance, config)
         offsets = data["offsets"]
-        levels = data["levels"]
         adjacency = data["adjacency"]
-        for off, level in zip(offsets, levels):
-            index._nodes[int(off)] = _Node(int(off), int(level))
-        for idx, layer, start, end in data["ranges"]:
-            node = index._nodes[int(offsets[int(idx)])]
-            node.neighbors[int(layer)] = [int(a) for a in adjacency[int(start):int(end)]]
+        for off, level in zip(offsets.tolist(), data["levels"].tolist()):
+            index._insert_node(off, level)
+        for idx, layer, start, end in data["ranges"].tolist():
+            index._set_row(int(offsets[idx]), layer, adjacency[start:end])
         ep = int(data["entry_point"])
         index._entry_point = None if ep < 0 else ep
         index._max_level = int(data["max_level"])
@@ -710,11 +707,10 @@ class HnswIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-k search (Algorithm 5); returns ``(offsets, scores)``.
 
-        Dispatches to the compiled CSR traversal when :meth:`compile` has
-        run; both forms return identical results.  With ``quantized=True``
-        (and a code store attached) the beam runs over uint8 codes and the
-        final ``ef`` candidates are exact-rescored from the float arena —
-        the composition of quantization with HNSW that real Qdrant ships.
+        With ``quantized=True`` (and a code store attached) the beam runs
+        over uint8 codes and the final ``ef`` candidates are exact-rescored
+        from the float arena — the composition of quantization with HNSW
+        that real Qdrant ships.
         """
         if self._entry_point is None or k <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
@@ -729,22 +725,16 @@ class HnswIndex:
             ef_eff = max(ef_eff, 4 * k)
 
         if quantized and self._qstore is not None:
-            # Quantized traversal needs the CSR form; compile on demand (a
-            # mutation since the last compile just recompiles here).
-            if self._compiled is None:
-                self.compile()
-            if self._compiled is not None:
-                return self._search_quantized(query, k, ef_eff, predicate, rescore)
+            return self._search_quantized(query, k, ef_eff, predicate, rescore)
 
-        compiled = self._compiled is not None
         ep = self._entry_point
         ep_dist = self._dist_one(query, ep)
-        step = self._greedy_step_c if compiled else self._greedy_step
-        for layer in range(self._max_level, 0, -1):
-            ep, ep_dist = step(query, ep, ep_dist, layer)
+        # From the entry point's own level, not ``_max_level``: one read, so a
+        # concurrent ``add`` that raises both cannot hand us a mismatched pair.
+        for layer in range(int(self._level[ep]), 0, -1):
+            ep, ep_dist = self._greedy_step(query, ep, ep_dist, layer)
 
-        layer0 = self._search_layer_c if compiled else self._search_layer
-        results = layer0(query, [(ep_dist, ep)], ef_eff, 0, predicate)
+        results = self._search_layer(query, [(ep_dist, ep)], ef_eff, 0, predicate)
         results.sort()
         results = results[:k]
         offsets = np.asarray([o for _, o in results], dtype=np.int64)
@@ -762,11 +752,8 @@ class HnswIndex:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched top-k search; element ``i`` equals ``search(queries[i], k)``.
 
-        Compiles the graph on first use so the whole batch runs on the CSR
-        fast path with one shared visited buffer, instead of the per-query
-        dict traversal a naive loop would pay for.
+        Seals the graph on first use, as a sealed segment would.
         """
         queries = np.ascontiguousarray(queries, dtype=np.float32)
-        if self._compiled is None:
-            self.compile()
+        self.compile()
         return [self.search(q, k, predicate=predicate, ef=ef, **params) for q in queries]

@@ -130,9 +130,11 @@ class Segment:
                 self._codes.overwrite(offset, self._quantizer.encode(vec))
         else:
             offset = self._arena.append(vec)
-            self._ids.register(point.id, offset)
+            # Codes before the id: a lock-free quantized scan gathers a code
+            # row for every registered id.
             if self._codes is not None:
                 self._codes.extend(self._quantizer.encode(vec[None, :]))
+            self._ids.register(point.id, offset)
             if self._index is not None and self._index.supports_incremental_add:
                 self._index.add(offset, vec)
         self._payloads.set(point.id, point.payload)
@@ -155,9 +157,9 @@ class Segment:
             if self._distance is Distance.COSINE:
                 mat = distances.normalize_batch(mat)
             offsets = self._arena.extend(mat)
-            self._ids.register_batch([p.id for p in fresh], offsets)
-            if self._codes is not None:
+            if self._codes is not None:  # codes before ids, as in upsert
                 self._codes.extend(self._quantizer.encode(mat))
+            self._ids.register_batch([p.id for p in fresh], offsets)
             for p, off in zip(fresh, offsets):
                 self._payloads.set(p.id, p.payload)
                 if self._index is not None and self._index.supports_incremental_add:
@@ -182,9 +184,9 @@ class Segment:
         if self._distance is Distance.COSINE:
             vectors = distances.normalize_batch(vectors)
         offsets = self._arena.extend(vectors)
-        self._ids.register_batch([int(i) for i in ids], offsets)
-        if self._codes is not None:
+        if self._codes is not None:  # codes before ids, as in upsert
             self._codes.extend(self._quantizer.encode(vectors))
+        self._ids.register_batch([int(i) for i in ids], offsets)
         for pid, payload in zip(ids, payloads):
             self._payloads.set(int(pid), payload)
         if self._index is not None and self._index.supports_incremental_add:
@@ -212,8 +214,8 @@ class Segment:
     def seal(self) -> None:
         """Make the segment immutable (precedes index build / merge).
 
-        Sealing also compiles a present index into its sealed fast form
-        (flat CSR adjacency for HNSW) — no more mutations can invalidate it.
+        Sealing also compiles a present index into its sealed form (HNSW
+        trims its link arrays) — no more mutations can unseal it.
         """
         self._sealed = True
         if self._index is not None and hasattr(self._index, "compile"):
@@ -230,8 +232,8 @@ class Segment:
         """Adopt an already-built index (parallel build workers use this).
 
         Compiles the index when it supports a sealed form; for an appendable
-        segment the next ``add`` simply invalidates the compiled graph, so
-        compiling eagerly is always safe.
+        segment the next ``add`` simply unseals it, so compiling eagerly is
+        always safe.
         """
         if hasattr(index, "compile"):
             index.compile()

@@ -143,6 +143,15 @@ class VectorArena:
         """A read-view of all live rows — no copy (view-not-copy idiom)."""
         return self._data[: self._count]
 
+    def buffer(self) -> np.ndarray:
+        """Every allocated row, spare capacity included — no copy.
+
+        For readers that gather by offsets they already hold while a writer
+        appends: a row, once written, keeps its offset in this buffer and in
+        every later one.  Rows at or past ``len(self)`` are uninitialised.
+        """
+        return self._data
+
     def take(self, offsets: np.ndarray) -> np.ndarray:
         """Gather rows by offset (copy)."""
         return self._data[: self._count][offsets]

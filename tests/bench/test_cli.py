@@ -24,3 +24,25 @@ def test_json_output(capsys):
 def test_unknown_experiment():
     with pytest.raises(KeyError):
         main(["tableXX"])
+
+
+def test_help_prints_usage_and_runs_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "repro.bench.__main__.run_experiment",
+        lambda eid: pytest.fail(f"--help ran {eid}"),
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: python -m repro.bench" in capsys.readouterr().out
+
+
+def test_unknown_flag_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "repro.bench.__main__.run_experiment",
+        lambda eid: pytest.fail(f"an unknown flag ran {eid}"),
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["--no-such-flag"])
+    assert exc.value.code == 2
+    assert "usage: python -m repro.bench" in capsys.readouterr().err

@@ -57,16 +57,13 @@ class TestConstruction:
         m = index.config.m
         for off in range(400):
             assert len(index.neighbors_of(off, 0)) <= 2 * m
-            node = index._nodes[off]
-            for layer in range(1, node.level + 1):
-                assert len(node.neighbors[layer]) <= 2 * m  # link() uses m_max=m for layers>0
-                # strict check for upper layers:
-                assert len(node.neighbors[layer]) <= 2 * m
+            for layer in range(1, index.level_of(off) + 1):
+                assert len(index.neighbors_of(off, layer)) <= m
 
     def test_entry_point_is_max_level(self):
         _, index, _ = build(300)
         ep = index.entry_point
-        assert index._nodes[ep].level == index.max_level
+        assert index.level_of(ep) == index.max_level
 
     def test_graph_connected_layer0(self):
         """Every node is reachable from the entry point on layer 0."""

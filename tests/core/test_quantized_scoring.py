@@ -15,6 +15,9 @@ Covers the PR-7 acceptance properties:
   rescore (quantization and indexing compose).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,10 +27,13 @@ from hypothesis.extra.numpy import arrays
 from repro.core import (
     CollectionConfig,
     Distance,
+    OptimizerConfig,
     QuantizationConfig,
+    SearchRequest,
     VectorParams,
 )
 from repro.core import distances
+from repro.core.collection import Collection
 from repro.core.quantization import CodeStore, ScalarQuantizer, code_corrections
 from repro.core.segment import Segment
 from repro.core.types import PointStruct
@@ -327,3 +333,78 @@ class TestCodeStore:
         esums, esq = code_corrections(rows[offs])
         assert np.array_equal(sums, esums)
         assert np.array_equal(sq, esq)
+
+
+class TestAppendPublishesCodesBeforeIds:
+    """A quantized segment that still takes appends is scanned lock-free, and
+    the scan gathers a code row for every registered id — so the write path
+    must extend the code store before it registers the id."""
+
+    @pytest.mark.parametrize("path", ["upsert", "upsert_batch", "upsert_columnar"])
+    def test_scan_at_the_moment_an_id_is_registered(self, path):
+        seg = _seeded_segment(Distance.COSINE, n=60)
+        seg.enable_quantization()
+        rng = np.random.default_rng(41)
+        query = rng.normal(size=32).astype(np.float32)
+        register = seg._ids.register  # noqa: SLF001
+        scans = []
+
+        def register_then_scan(point_id, offset):
+            register(point_id, offset)
+            # what a searcher scheduled right here would do
+            scans.append(seg.search(query, 5))
+
+        seg._ids.register = register_then_scan  # noqa: SLF001
+        vectors = rng.normal(size=(3, 32)).astype(np.float32)
+        if path == "upsert":
+            seg.upsert(PointStruct(id=900, vector=vectors[0]))
+        elif path == "upsert_batch":
+            seg.upsert_batch([PointStruct(id=900 + i, vector=v) for i, v in enumerate(vectors)])
+        else:
+            seg.upsert_columnar(np.arange(900, 903), vectors, [None] * 3)
+        assert scans and all(len(hits) == 5 for hits in scans)
+
+    def test_searcher_beside_appends_after_vacuum(self):
+        """The reproducer from benchmarks/e2e/README.md ("Three defects", 1):
+        a vacuum leaves a quantized, unsealed segment; a searcher runs beside
+        a writer that keeps appending to it."""
+        rng = np.random.default_rng(0)
+        col = Collection(CollectionConfig(
+            "c", VectorParams(size=32),
+            optimizer=OptimizerConfig(indexing_threshold=50_000),
+            quantization=QuantizationConfig(enabled=True),
+        ))
+        col.upsert([PointStruct(id=i, vector=rng.normal(size=32)) for i in range(80)])
+        col.build_index("hnsw")
+        col.delete(list(range(30)))  # > 20 % deleted
+        col.run_maintenance_pass()  # vacuum: 50 live, quantized, unsealed
+        queries = rng.normal(size=(16, 32))
+        done = threading.Event()
+        errors: list[BaseException] = []
+        searches = [0]
+
+        def search():
+            try:
+                while not done.is_set():
+                    for q in queries:
+                        col.search(SearchRequest(vector=q, limit=10))
+                        searches[0] += 1
+            except BaseException as exc:  # surfaced in the main thread below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        searcher = threading.Thread(target=search)
+        try:
+            searcher.start()
+            for i in range(1000, 7000, 3):
+                if errors:
+                    break
+                col.upsert([PointStruct(id=i + j, vector=rng.normal(size=32)) for j in range(3)])
+        finally:
+            done.set()
+            searcher.join(timeout=60)
+            sys.setswitchinterval(old)
+        assert not searcher.is_alive()
+        assert not errors, repr(errors[0])
+        assert searches[0] > 0
