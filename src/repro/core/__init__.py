@@ -34,6 +34,7 @@ from .errors import (
     NoReplicaAvailableError,
     PointNotFoundError,
     RequestTimeoutError,
+    ShardRetiredError,
     TransportError,
     VectorDBError,
     WorkerUnavailableError,
@@ -122,6 +123,7 @@ __all__ = [
     "BadRequestError",
     "DimensionMismatchError",
     "CollectionNotFoundError",
+    "ShardRetiredError",
     "CollectionExistsError",
     "PointNotFoundError",
     "TransportError",

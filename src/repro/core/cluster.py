@@ -50,6 +50,7 @@ from .errors import (
     NoReplicaAvailableError,
     PointNotFoundError,
     RequestTimeoutError,
+    ShardRetiredError,
     TransportError,
     WorkerUnavailableError,
 )
@@ -1221,7 +1222,9 @@ class Cluster:
         Issues one ``method`` call per chosen holder.  When a call fails
         (after the per-call retry policy), only *its* shards are re-resolved
         against the placement plan — excluding every replica that already
-        failed this read — and re-issued; healthy lanes are never repeated.
+        failed them in this read — and re-issued; healthy lanes are never
+        repeated.  A worker that refused one shard (``ShardRetiredError``)
+        is excluded for that shard only.
         Returns the successful per-call results and the set of shards that
         answered.  Shards whose replicas are all gone raise
         ``NoReplicaAvailableError`` unless ``allow_partial``.
@@ -1245,8 +1248,13 @@ class Cluster:
             for call, outcome in zip(calls, outcomes):
                 worker_id, _, _, assigned, _ = call
                 if isinstance(outcome, (TransportError, CollectionNotFoundError)):
-                    for shard in assigned:
-                        tried[shard].add(worker_id)
+                    if isinstance(outcome, ShardRetiredError) and outcome.shard_id in assigned:
+                        # The worker still holds the lane's other shards;
+                        # only the one a cutover moved away needs a new holder.
+                        tried[outcome.shard_id].add(worker_id)
+                    else:
+                        for shard in assigned:
+                            tried[shard].add(worker_id)
                     pending.extend(assigned)
                 else:
                     results.append(outcome)

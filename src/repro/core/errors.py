@@ -14,6 +14,7 @@ __all__ = [
     "BadRequestError",
     "DimensionMismatchError",
     "CollectionNotFoundError",
+    "ShardRetiredError",
     "CollectionExistsError",
     "PointNotFoundError",
     "SegmentSealedError",
@@ -52,6 +53,20 @@ class CollectionNotFoundError(BadRequestError):
     def __init__(self, name: str):
         super().__init__(f"collection {name!r} does not exist")
         self.name = name
+
+
+class ShardRetiredError(CollectionNotFoundError):
+    """A worker refused a request for one shard it does not hold.
+
+    After a live migration moves a shard away, its old holder drops it; a
+    read routed there just before the cutover is refused with this error.
+    ``shard_id`` names the refused shard, so a failover re-routes that
+    shard alone and keeps the worker for the rest of the request.
+    """
+
+    def __init__(self, collection: str, shard_id: int):
+        super().__init__(f"{collection}#shard{shard_id}")
+        self.shard_id = shard_id
 
 
 class CollectionExistsError(BadRequestError):

@@ -37,9 +37,12 @@ representation for construction and search:
 * **upper layers** are sparse (one node in ``M`` reaches layer 1): a dict
   from offset to one exact-length array per layer, replaced on every link.
 
-One beam (:meth:`_search_layer`) serves ``add`` and ``search`` alike, so an
-``add`` never moves searches onto a slower path.  :meth:`compile` seals the
-graph by trimming the arrays' spare capacity; it changes no result.
+One beam (:meth:`_search_layer`) serves ``add``, float ``search`` and
+quantized ``search`` alike, so an ``add`` never moves searches onto a slower
+path; a quantized search passes it a kernel that reads a per-query table of
+code distances (:meth:`_code_kernel`) instead of scoring arena rows.
+:meth:`compile` seals the graph by trimming the arrays' spare capacity; it
+changes no result.
 
 Thread safety: any number of searches may overlap each other and one
 writer's ``add``.  Every beam checks its own epoch-tagged visited array out
@@ -53,6 +56,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +69,16 @@ from .base import IndexStats, OffsetPredicate
 __all__ = ["HnswIndex"]
 
 _NO_LINKS = np.empty(0, dtype=np.int64)
+
+#: Offsets -> internal (smaller-is-better) distances to one search's query.
+DistanceKernel = Callable[[np.ndarray], np.ndarray]
+
+#: Largest code store (rows × dim, i.e. bytes of uint8 codes) a quantized
+#: search scores whole into a per-query distance table.  The table costs
+#: O(rows · dim) per query while the per-hop kernels it replaces cost about
+#: 1 ms per search, so past ~1 MiB of codes (~8 k rows at dim 128) the beam
+#: scores each hop's neighbours on their own again.
+_CODE_TABLE_BUDGET = 1 << 20
 
 
 class _Visited:
@@ -145,8 +159,8 @@ class HnswIndex:
 
         The store is the same offset-aligned :class:`CodeStore` the flat
         quantized scan uses, so beam neighbours are scored straight from
-        uint8 codes (one small exact-integer GEMV per hop) and only the
-        final ``ef`` candidates touch the float vectors for rescoring.
+        uint8 codes and only the final ``ef`` candidates touch the float
+        vectors for rescoring.
         """
         self._qstore = store
         self._quantizer = quantizer
@@ -302,8 +316,10 @@ class HnswIndex:
         for vec, off in zip(vectors, offsets):
             self.add(int(off), vec)
 
-    def _greedy_step(self, query, ep: int, ep_dist: float, layer: int) -> tuple[int, float]:
-        """Descend one upper layer greedily to the local minimum (Algorithm 2, ef=1)."""
+    def _greedy_step(self, query, ep: int, ep_dist: float, layer: int,
+                     kernel: DistanceKernel | None = None) -> tuple[int, float]:
+        """Descend one upper layer greedily to the local minimum (Algorithm 2,
+        ef=1), scoring neighbours with ``kernel`` if given, else from the arena."""
         upper = self._upper
         improved = True
         while improved:
@@ -311,7 +327,11 @@ class HnswIndex:
             nbrs = upper[ep][layer - 1]
             if nbrs.size == 0:
                 break
-            dists = self._dist_many(query, nbrs)
+            if kernel is None:
+                dists = self._dist_many(query, nbrs)
+            else:
+                self.stats.distance_computations += nbrs.size
+                dists = kernel(nbrs)
             self.stats.hops += 1
             best = int(np.argmin(dists))
             if dists[best] < ep_dist:
@@ -337,12 +357,15 @@ class HnswIndex:
         ef: int,
         layer: int,
         predicate: OffsetPredicate | None = None,
+        kernel: DistanceKernel | None = None,
     ) -> list[tuple[float, int]]:
         """Beam search on one layer (Algorithm 2).
 
         Returns up to ``ef`` ``(distance, offset)`` pairs.  With a predicate,
         traversal still flows through non-matching nodes (to preserve
         navigability) but only matching offsets enter the result heap.
+        ``kernel`` scores each hop's fresh neighbours in place of the
+        inline float matvec over the arena.
         """
         links = self._links  # before the arena buffer: see _reserve
         vectors = self._arena.buffer()
@@ -382,12 +405,13 @@ class HnswIndex:
                     continue
                 visited[fresh] = epoch
                 dcs += fresh.size
-                matrix = vectors[fresh]
-                if euclid:
-                    diff = matrix - query
+                if kernel is not None:
+                    dists = kernel(fresh)
+                elif euclid:
+                    diff = vectors[fresh] - query
                     dists = np.einsum("ij,ij->i", diff, diff)
                 else:
-                    dists = matrix @ query
+                    dists = vectors[fresh] @ query
                     np.negative(dists, out=dists)
                 hops += 1
                 if nres >= ef:
@@ -504,13 +528,8 @@ class HnswIndex:
     # -- quantized traversal -----------------------------------------------------
 
     def _qdist_many(self, qq: QuantizedQuery, rows: np.ndarray) -> np.ndarray:
-        """Internal (smaller-is-better) distances straight from uint8 codes.
-
-        One exact-integer GEMV over the handful of beam neighbours plus the
-        affine correction — the float vectors are never touched during
-        traversal.
-        """
-        self.stats.distance_computations += int(rows.size)
+        """Internal (smaller-is-better) distances of ``rows`` straight from
+        their uint8 codes: one exact-integer GEMV plus the affine correction."""
         sums, sq = self._qstore.corrections(rows)
         scores = self._quantizer.score_codes(
             self._qstore.take(rows), sums, sq, qq, self.distance
@@ -519,88 +538,37 @@ class HnswIndex:
             return scores
         return -scores
 
-    def _greedy_step_q(
-        self, qq: QuantizedQuery, ep: int, ep_dist: float, layer: int
-    ) -> tuple[int, float]:
-        """Quantized twin of :meth:`_greedy_step` (Algorithm 2, ef=1)."""
-        upper = self._upper
-        improved = True
-        while improved:
-            improved = False
-            nbrs = upper[ep][layer - 1]
-            if nbrs.size == 0:
-                break
-            dists = self._qdist_many(qq, nbrs)
-            self.stats.hops += 1
-            best = int(np.argmin(dists))
-            if dists[best] < ep_dist:
-                ep = int(nbrs[best])
-                ep_dist = float(dists[best])
-                improved = True
-        return ep, ep_dist
+    def _code_kernel(self, qq: QuantizedQuery) -> DistanceKernel:
+        """The beam's distance kernel for one quantized search.
 
-    def _search_layer_q(
-        self,
-        qq: QuantizedQuery,
-        entry: list[tuple[float, int]],
-        ef: int,
-        predicate: OffsetPredicate | None = None,
-    ) -> list[tuple[float, int]]:
-        """Quantized twin of :meth:`_search_layer` on layer 0: identical beam
-        logic, neighbour distances come from codes instead of float vectors."""
-        links = self._links
-        scratch = self._checkout(links.shape[0])
-        try:
-            visited = scratch.marks
-            epoch = scratch.next_epoch()
-            for _, o in entry:
-                visited[o] = epoch
-            candidates = list(entry)
-            heapq.heapify(candidates)
-            if predicate is None:
-                results = [(-d, o) for d, o in entry]
-            else:
-                results = [(-d, o) for d, o in entry if predicate(o)]
-            heapq.heapify(results)
+        Below :data:`_CODE_TABLE_BUDGET` the query is scored against every
+        stored code row at once and a hop is a gather from that table: one
+        numpy call instead of the ~15 of :meth:`_qdist_many`.  Each entry
+        equals :meth:`_qdist_many`'s value bit for bit — code products are
+        exact integers whatever rows a kernel sums over, and the affine
+        correction is elementwise float64 on identical inputs.  A node
+        linked after the table was built (an ``add`` beside or inside this
+        search) has no entry; its hop falls back to :meth:`_qdist_many`.
+        """
+        store = self._qstore
+        # The count before the buffers: a concurrent extend writes past it only.
+        n = len(store)
+        if n * store.dim > _CODE_TABLE_BUDGET:
+            return lambda rows: self._qdist_many(qq, rows)
+        sums, sq = store.corrections()
+        table = self._quantizer.score_codes(
+            store.view()[:n], sums[:n], sq[:n], qq, self.distance
+        )
+        if self.distance is not Distance.EUCLID:
+            np.negative(table, out=table)
 
-            heappush = heapq.heappush
-            heappop = heapq.heappop
-            nres = len(results)
-            bound = -results[0][0] if nres >= ef else math.inf
+        def kernel(rows: np.ndarray) -> np.ndarray:
+            try:
+                return table[rows]
+            except IndexError:
+                return self._qdist_many(qq, rows)
 
-            while candidates:
-                dist, current = heappop(candidates)
-                if nres >= ef and dist > bound:
-                    break
-                row = links[current].copy()
-                fresh = row[visited[row] != epoch]
-                if fresh.size == 0:
-                    continue
-                visited[fresh] = epoch
-                dists = self._qdist_many(qq, fresh)
-                self.stats.hops += 1
-                if nres >= ef:
-                    keep = dists < bound
-                    nkeep = np.count_nonzero(keep)
-                    if nkeep != keep.shape[0]:
-                        if nkeep == 0:
-                            continue
-                        dists = dists[keep]
-                        fresh = fresh[keep]
-                for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
-                    if nbr_dist < bound or nres < ef:
-                        heappush(candidates, (nbr_dist, nbr))
-                        if predicate is None or predicate(nbr):
-                            heappush(results, (-nbr_dist, nbr))
-                            if nres == ef:
-                                heappop(results)
-                            else:
-                                nres += 1
-                            if nres >= ef:
-                                bound = -results[0][0]
-        finally:
-            self._scratch.append(scratch)
-        return [(-nd, o) for nd, o in results]
+        return kernel
 
     def _search_quantized(
         self,
@@ -617,11 +585,13 @@ class HnswIndex:
         self.quant_stats["searches"] += 1
         registry.counter("quant.scan").inc()
         t0 = time.perf_counter()
+        kernel = self._code_kernel(qq)
         ep = self._entry_point
-        ep_dist = float(self._qdist_many(qq, np.asarray([ep], dtype=np.int64))[0])
+        self.stats.distance_computations += 1
+        ep_dist = float(kernel(np.asarray([ep], dtype=np.int64))[0])
         for layer in range(int(self._level[ep]), 0, -1):
-            ep, ep_dist = self._greedy_step_q(qq, ep, ep_dist, layer)
-        results = self._search_layer_q(qq, [(ep_dist, ep)], ef_eff, predicate)
+            ep, ep_dist = self._greedy_step(query, ep, ep_dist, layer, kernel)
+        results = self._search_layer(query, [(ep_dist, ep)], ef_eff, 0, predicate, kernel)
         registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
         if not results:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)

@@ -18,15 +18,16 @@ computations, index build sizes) that the performance model reads.
 
 from __future__ import annotations
 
+import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from ..obs.clock import monotonic
 from ..obs.trace import get_tracer
 from .cache import CachePolicy, ShardResultCache
 from .collection import Collection
-from .errors import BadRequestError, CollectionNotFoundError
+from .errors import BadRequestError, ShardRetiredError
 from .filters import Condition
 from .maintenance import MaintenanceDriver
 from .optimizer import OptimizerReport
@@ -135,6 +136,14 @@ class Worker:
                 f"shard {shard_id} of {collection!r} already exists on {self.worker_id}"
             )
         shard_config = config.with_(name=f"{collection}#shard{shard_id}")
+        wal = config.wal
+        if wal.enabled and (wal.path is None or os.path.isdir(wal.path)
+                            or wal.path.endswith(os.sep)):
+            # Every worker gets the collection's one WalConfig; a directory of
+            # its own keeps a shard move's source and target (both in this
+            # process) from opening, and replaying, one log file.
+            own_dir = os.path.join(wal.path or ".", self.worker_id, "")
+            shard_config = shard_config.with_(wal=replace(wal, path=own_dir))
         self._shards[key] = Collection(shard_config)
 
     def drop_shard(self, collection: str, shard_id: int) -> None:
@@ -155,7 +164,7 @@ class Worker:
         try:
             return self._shards[(collection, shard_id)]
         except KeyError:
-            raise CollectionNotFoundError(f"{collection}#shard{shard_id}") from None
+            raise ShardRetiredError(collection, shard_id) from None
 
     def transfer_shard_out(self, collection: str, shard_id: int) -> list[PointStruct]:
         """Export all points of a shard (used during rebalancing)."""

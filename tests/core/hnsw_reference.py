@@ -1,24 +1,36 @@
-"""Frozen reference HNSW builder — do not optimise.
+"""Frozen reference HNSW code — do not optimise.
 
-A verbatim copy of the dict-adjacency construction this repository shipped
-before the array-backed rewrite of ``repro.core.index.hnsw``: ``add``,
-``_greedy_step``, ``_search_layer``, ``_select_heuristic`` (the naive rule:
-one Python iteration per candidate) and ``_link``.  The production index
-must build the *same graph, bit for bit*; ``test_hnsw_build_identity.py``
-compares the two.  Arithmetic that decides an edge (the pairwise kernel, the
-per-hop matvec, the float comparisons) is written exactly as it was, so a
-difference here is a difference in the graph.
+:class:`ReferenceHnsw` is a verbatim copy of the dict-adjacency construction
+this repository shipped before the array-backed rewrite of
+``repro.core.index.hnsw``: ``add``, ``_greedy_step``, ``_search_layer``,
+``_select_heuristic`` (the naive rule: one Python iteration per candidate)
+and ``_link``.  The production index must build the *same graph, bit for
+bit*; ``test_hnsw_build_identity.py`` compares the two.  Arithmetic that
+decides an edge (the pairwise kernel, the per-hop matvec, the float
+comparisons) is written exactly as it was, so a difference here is a
+difference in the graph.
+
+:class:`ReferenceQuantizedSearch` is a verbatim copy of the quantized search
+that scored every hop's neighbours with their own code kernel
+(``_qdist_many``, ``_greedy_step_q``, ``_search_layer_q``,
+``_search_quantized``), run over a production index's graph and code store.
+The production search reads those distances from a per-query table instead
+and must return the same results and counters, bit for bit;
+``test_hnsw_quantized_table.py`` compares the two.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import time
 
 import numpy as np
 
-from repro.core.index.base import IndexStats
+from repro.core.index.base import IndexStats, OffsetPredicate
+from repro.core.quantization import QuantizedQuery
 from repro.core.types import Distance, HnswConfig
+from repro.obs.metrics import get_registry
 
 
 class _Node:
@@ -203,3 +215,182 @@ class ReferenceHnsw:
         dists = self._dist_many(base, nbrs)
         candidates = [(float(d), o) for d, o in zip(dists, nbrs)]
         node.neighbors[layer] = [o for _, o in self._select_heuristic(candidates, m_max)]
+
+
+class ReferenceQuantizedSearch:
+    """The per-hop quantized search, run over a production ``HnswIndex``.
+
+    Attributes the frozen methods do not define here (``_links``,
+    ``_upper``, ``_level``, ``_entry_point``, ``_qstore``, ``_quantizer``,
+    ``_checkout``, ``_scratch``, ``_dist_many``, ``_to_score``, ``stats``,
+    ``quant_stats``) are the index's own, so the counters land where the
+    production search puts them.
+    """
+
+    def __init__(self, index):
+        self._index = index
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        *,
+        predicate: OffsetPredicate | None = None,
+        ef: int | None = None,
+        rescore: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``HnswIndex.search(..., quantized=True)`` as it was."""
+        if self._entry_point is None or k <= 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
+        query = np.ascontiguousarray(query, dtype=np.float32)
+        if self.distance is Distance.COSINE:
+            norm = float(np.linalg.norm(query))
+            if norm > 0:
+                query = query / np.float32(norm)
+        ef_eff = max(ef if ef is not None else self.config.ef_search, k)
+        if predicate is not None:
+            ef_eff = max(ef_eff, 4 * k)
+        return self._search_quantized(query, k, ef_eff, predicate, rescore)
+
+    def search_batch(self, queries: np.ndarray, k: int, **params):
+        """``HnswIndex.search_batch(..., quantized=True)`` as it was."""
+        queries = np.ascontiguousarray(queries, dtype=np.float32)
+        self.compile()
+        return [self.search(q, k, **params) for q in queries]
+
+    # -- frozen: the per-hop quantized traversal ----------------------------
+
+    def _qdist_many(self, qq: QuantizedQuery, rows: np.ndarray) -> np.ndarray:
+        self.stats.distance_computations += int(rows.size)
+        sums, sq = self._qstore.corrections(rows)
+        scores = self._quantizer.score_codes(
+            self._qstore.take(rows), sums, sq, qq, self.distance
+        )
+        if self.distance is Distance.EUCLID:
+            return scores
+        return -scores
+
+    def _greedy_step_q(
+        self, qq: QuantizedQuery, ep: int, ep_dist: float, layer: int
+    ) -> tuple[int, float]:
+        upper = self._upper
+        improved = True
+        while improved:
+            improved = False
+            nbrs = upper[ep][layer - 1]
+            if nbrs.size == 0:
+                break
+            dists = self._qdist_many(qq, nbrs)
+            self.stats.hops += 1
+            best = int(np.argmin(dists))
+            if dists[best] < ep_dist:
+                ep = int(nbrs[best])
+                ep_dist = float(dists[best])
+                improved = True
+        return ep, ep_dist
+
+    def _search_layer_q(
+        self,
+        qq: QuantizedQuery,
+        entry: list[tuple[float, int]],
+        ef: int,
+        predicate: OffsetPredicate | None = None,
+    ) -> list[tuple[float, int]]:
+        links = self._links
+        scratch = self._checkout(links.shape[0])
+        try:
+            visited = scratch.marks
+            epoch = scratch.next_epoch()
+            for _, o in entry:
+                visited[o] = epoch
+            candidates = list(entry)
+            heapq.heapify(candidates)
+            if predicate is None:
+                results = [(-d, o) for d, o in entry]
+            else:
+                results = [(-d, o) for d, o in entry if predicate(o)]
+            heapq.heapify(results)
+
+            heappush = heapq.heappush
+            heappop = heapq.heappop
+            nres = len(results)
+            bound = -results[0][0] if nres >= ef else math.inf
+
+            while candidates:
+                dist, current = heappop(candidates)
+                if nres >= ef and dist > bound:
+                    break
+                row = links[current].copy()
+                fresh = row[visited[row] != epoch]
+                if fresh.size == 0:
+                    continue
+                visited[fresh] = epoch
+                dists = self._qdist_many(qq, fresh)
+                self.stats.hops += 1
+                if nres >= ef:
+                    keep = dists < bound
+                    nkeep = np.count_nonzero(keep)
+                    if nkeep != keep.shape[0]:
+                        if nkeep == 0:
+                            continue
+                        dists = dists[keep]
+                        fresh = fresh[keep]
+                for nbr_dist, nbr in zip(dists.tolist(), fresh.tolist()):
+                    if nbr_dist < bound or nres < ef:
+                        heappush(candidates, (nbr_dist, nbr))
+                        if predicate is None or predicate(nbr):
+                            heappush(results, (-nbr_dist, nbr))
+                            if nres == ef:
+                                heappop(results)
+                            else:
+                                nres += 1
+                            if nres >= ef:
+                                bound = -results[0][0]
+        finally:
+            self._scratch.append(scratch)
+        return [(-nd, o) for nd, o in results]
+
+    def _search_quantized(
+        self,
+        query: np.ndarray,
+        k: int,
+        ef_eff: int,
+        predicate: OffsetPredicate | None,
+        rescore: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        registry = get_registry()
+        qq = self._quantizer.encode_query(query)
+        self.quant_stats["searches"] += 1
+        registry.counter("quant.scan").inc()
+        t0 = time.perf_counter()
+        ep = self._entry_point
+        ep_dist = float(self._qdist_many(qq, np.asarray([ep], dtype=np.int64))[0])
+        for layer in range(int(self._level[ep]), 0, -1):
+            ep, ep_dist = self._greedy_step_q(qq, ep, ep_dist, layer)
+        results = self._search_layer_q(qq, [(ep_dist, ep)], ef_eff, predicate)
+        registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
+        if not results:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
+        if rescore:
+            t0 = time.perf_counter()
+            offs = np.asarray(sorted(o for _, o in results), dtype=np.int64)
+            exact = np.asarray(self._dist_many(query, offs))
+            order = np.lexsort((offs, exact))[:k]
+            offsets = offs[order]
+            scores = np.asarray(
+                [self._to_score(float(d)) for d in exact[order]], dtype=np.float32
+            )
+            self.quant_stats["rescored"] += int(offs.size)
+            registry.counter("quant.rescore").inc()
+            registry.histogram("quant.rescore_s").observe(time.perf_counter() - t0)
+            return offsets, scores
+        results.sort()
+        results = results[:k]
+        offsets = np.asarray([o for _, o in results], dtype=np.int64)
+        scores = np.asarray(
+            [self._to_score(d) for d, _ in results], dtype=np.float32
+        )
+        return offsets, scores

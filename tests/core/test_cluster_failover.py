@@ -272,6 +272,39 @@ class TestRebalanceWithDeadPrimary:
         assert "w2" not in health.states()
 
 
+class TestCutoverDuringRead:
+    """A read that chose its holders just before a shard move's cutover
+    reaches the source after it dropped the moved shard.  The source still
+    holds the lane's other shard — at rf 1 its only holder — so the
+    failover must exclude the source for the moved shard alone."""
+
+    @staticmethod
+    def loaded_cluster():
+        cluster = Cluster.with_workers(3)
+        cluster.create_collection(config(shard_number=4))
+        cluster.upsert("papers", points(200))
+        return cluster
+
+    def test_move_between_holder_choice_and_fan_out(self):
+        cluster = self.loaded_cluster()
+        fan_out, moved = cluster._fan_out_collect, []
+
+        def move_then_fan_out(calls):  # the holders are chosen; now the move completes
+            if not moved:
+                moved.append(cluster.add_worker(Worker("worker-3"), rebalance=True))
+            return fan_out(calls)
+
+        cluster._fan_out_collect = move_then_fan_out
+        q = np.random.default_rng(5).normal(size=DIM)
+        result = cluster.search("papers", SearchRequest(vector=q, limit=10))
+        assert moved and cluster.failover_stats.failovers > 0
+        assert result.shards_answered == result.shards_total == 4
+        twin = self.loaded_cluster()  # the same move, with no read in flight
+        twin.add_worker(Worker("worker-3"), rebalance=True)
+        expected = twin.search("papers", SearchRequest(vector=q, limit=10))
+        assert [(h.id, h.score) for h in result] == [(h.id, h.score) for h in expected]
+
+
 class TestConcurrencyRegressions:
     def test_entry_worker_round_robin_exact_under_threads(self):
         """The round-robin counter must hand out exact per-worker shares even

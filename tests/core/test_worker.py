@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import BadRequestError, CollectionNotFoundError
+from repro.core.cluster import Cluster
+from repro.core.errors import (
+    BadRequestError,
+    CollectionNotFoundError,
+    PointNotFoundError,
+    ShardRetiredError,
+)
 from repro.core.types import (
     CollectionConfig,
     Distance,
@@ -11,6 +17,7 @@ from repro.core.types import (
     PointStruct,
     SearchRequest,
     VectorParams,
+    WalConfig,
 )
 from repro.core.worker import Worker
 
@@ -48,6 +55,13 @@ class TestShardLifecycle:
     def test_missing_shard_raises(self, worker):
         with pytest.raises(CollectionNotFoundError):
             worker.count("col", 99)
+
+    def test_refusal_names_the_shard(self, worker):
+        worker.create_shard("col", 1, CFG)
+        worker.drop_shard("col", 1)
+        with pytest.raises(ShardRetiredError) as refused:
+            worker.search("col", [0, 1], SearchRequest(vector=np.ones(DIM), limit=3))
+        assert refused.value.shard_id == 1
 
 
 class TestReadWrite:
@@ -124,3 +138,56 @@ class TestTransfer:
         a = worker.retrieve("col", 0, 3, with_vector=True)
         b = other.retrieve("col", 0, 3, with_vector=True)
         assert np.allclose(a.vector, b.vector)
+
+
+def close_shards(*workers):
+    for w in workers:
+        for shard in w._shards.values():
+            shard.close()
+
+
+class TestWalPerWorker:
+    """In one process every worker receives the collection's one WalConfig;
+    each must still log its shards to files of its own."""
+
+    def test_two_holders_of_one_shard_open_distinct_files(self, tmp_path):
+        cfg = CFG.with_(wal=WalConfig(enabled=True, path=str(tmp_path)))
+        a, b = Worker("w0"), Worker("w1")
+        a.create_shard("col", 0, cfg)
+        b.create_shard("col", 0, cfg)
+        paths = {w.worker_id: w._shard("col", 0)._wal.path for w in (a, b)}
+        close_shards(a, b)
+        assert paths == {
+            "w0": str(tmp_path / "w0" / "col#shard0.wal"),
+            "w1": str(tmp_path / "w1" / "col#shard0.wal"),
+        }
+
+    def test_unset_path_logs_under_the_worker_id(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        w = Worker("w0")
+        w.create_shard("col", 0, CFG.with_(wal=WalConfig(enabled=True)))
+        w.upsert("col", 0, points(3))
+        close_shards(w)
+        assert (tmp_path / "w0" / "col#shard0.wal").stat().st_size > 0
+
+    def test_reshard_target_does_not_replay_the_source_log(self, tmp_path):
+        """The deletes sit in the source's unflushed group; a target that
+        opened the source's file would replay the flushed upserts without
+        them and bring the deleted points back."""
+        cluster = Cluster.with_workers(3)
+        cluster.create_collection(
+            CFG.with_(
+                shard_number=4,
+                wal=WalConfig(enabled=True, path=str(tmp_path), flush_every_n=10_000),
+            )
+        )
+        cluster.upsert("col", points(120))
+        cluster.flush_wals("col")
+        cluster.delete("col", list(range(40)))
+        cluster.add_worker(Worker("worker-3"), rebalance=True)
+        assert cluster.count("col") == 80
+        for pid in range(40):
+            with pytest.raises(PointNotFoundError):
+                cluster.retrieve("col", pid)
+        cluster.close()
+        close_shards(*cluster._workers.values())
