@@ -38,6 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 from ..obs.clock import monotonic
@@ -55,6 +56,8 @@ from .errors import (
     WorkerUnavailableError,
 )
 from .cache import CachePolicy, ResultCache
+from .collection import group_search
+from .distances import merge_hits
 from .failover import BreakerState, FailoverStats, HealthTracker, RetryPolicy
 from .router import PlacementPlan, ShardMove, ShardRouter
 from .transport import LocalTransport, Transport
@@ -394,80 +397,69 @@ class Cluster:
             self.fanout_stats.record_worker(call[0], elapsed)
             self._hist_rpc.observe(elapsed)
 
-    def _fan_out(self, calls: list[tuple]) -> list:
-        """Issue one transport call per worker, concurrently when allowed.
+    def _fan_out(self, tasks: Sequence, run, *, calls: int | None = None) -> list:
+        """Run ``run(task, ctx)`` for every task, concurrently when allowed.
 
-        ``calls`` is ``[(worker_id, method, *args), ...]``.  Results come
-        back in submission order regardless of completion order, so every
-        reducer sees exactly what the serial loop used to produce.
+        ``ctx`` is the submitting thread's trace context, so work on pool
+        threads re-parents under the one ``cluster.fanout`` span.  Results
+        come back in submission order regardless of completion order, so
+        every reducer sees exactly what a serial loop would produce.
+        ``calls`` is the number of transport calls the tasks issue when it
+        is not one per task (a write's replica chain issues several).
         """
-        if not calls:
+        if not tasks:
             return []
         tracer = get_tracer()
-        width = self._fanout_width(len(calls))
+        width = self._fanout_width(len(tasks))
+        calls = len(tasks) if calls is None else calls
         t0 = monotonic()
         with tracer.span(
             "cluster.fanout",
-            {"calls": len(calls), "width": width} if tracer.enabled else None,
+            {"tasks": len(tasks), "calls": calls, "width": width}
+            if tracer.enabled else None,
         ):
             ctx = tracer.current_context()
-            if width <= 1 or len(calls) == 1:
-                results = [self._timed_call(call, ctx) for call in calls]
+            if width <= 1:
+                results = [run(task, ctx) for task in tasks]
             else:
                 pool = self._fanout_pool(width)
-                futures = [pool.submit(self._timed_call, call, ctx) for call in calls]
+                futures = [pool.submit(run, task, ctx) for task in tasks]
                 results = [f.result() for f in futures]
-        self.fanout_stats.record_fanout(len(calls), monotonic() - t0)
+        self.fanout_stats.record_fanout(len(tasks), monotonic() - t0, calls=calls)
         return results
 
     def _fan_out_collect(self, calls: list[tuple]) -> list:
-        """Like :meth:`_fan_out`, but a failed call yields its
-        :class:`TransportError` in the result list instead of raising —
-        the failover read path re-issues only the failed lanes."""
-        if not calls:
-            return []
-        tracer = get_tracer()
-        ctx = None
+        """One transport call per ``(worker_id, method, *args)`` tuple, where
+        a failed call yields its error in the result list instead of
+        raising — the failover read path re-issues only the failed lanes."""
 
-        def guarded(call: tuple):
+        def guarded(call: tuple, ctx):
             try:
                 return self._timed_call(call, ctx)
-            except TransportError as exc:
-                return exc
-            except CollectionNotFoundError as exc:
-                # Stale routing against a shard retired by a live migration
-                # (the worker dropped it post-cutover): treat like a failed
-                # lane so the shard re-resolves against the fresh plan.
+            except (TransportError, CollectionNotFoundError) as exc:
+                # CollectionNotFoundError: stale routing against a shard
+                # retired by a live migration (the worker dropped it
+                # post-cutover); the shard re-resolves against the fresh plan.
                 return exc
 
-        width = self._fanout_width(len(calls))
-        t0 = monotonic()
-        with tracer.span(
-            "cluster.fanout",
-            {"calls": len(calls), "width": width} if tracer.enabled else None,
-        ):
-            ctx = tracer.current_context()
-            if width <= 1 or len(calls) == 1:
-                results = [guarded(call) for call in calls]
-            else:
-                pool = self._fanout_pool(width)
-                futures = [pool.submit(guarded, call) for call in calls]
-                results = [f.result() for f in futures]
-        self.fanout_stats.record_fanout(len(calls), monotonic() - t0)
-        return results
+        return self._fan_out(calls, guarded)
 
-    def _run_shard_chain(self, shard_id: int, calls: list[tuple],
+    def _run_shard_chain(self, task: tuple[int, list[tuple]],
                          ctx: TraceContext | None = None):
-        """Write one shard: replicas are called in plan order (primary first)
-        so replica logs stay identically ordered.
+        """Write one shard: ``task`` is ``(shard_id, per-replica calls)``, and
+        replicas are called in plan order (primary first) so replica logs
+        stay identically ordered.
 
         Each replica call runs under the retry policy (writes are
         idempotent — an upsert re-applied after a timeout converges to the
         same state).  A replica that still fails is *skipped* (a failover:
         the survivors keep the shard writable) and the shard's result
         degrades to ``ACKNOWLEDGED``; if **no** replica accepts the write,
-        the shard raises ``NoReplicaAvailableError``.
+        the shard raises ``NoReplicaAvailableError``.  A chain refused
+        whole by retired replicas returns their ``CollectionNotFoundError``
+        so the caller can rebuild it from the fresh plan.
         """
+        shard_id, calls = task
         tracer = get_tracer()
         t0 = monotonic()
         result = None
@@ -506,55 +498,11 @@ class Cluster:
             self.ingest_stats.record_shard(shard_id, monotonic() - t0)
         if ok == 0:
             if stale is not None:
-                raise stale  # whole chain stale: nothing applied, retriable
+                return stale  # whole chain stale: nothing applied, retriable
             raise NoReplicaAvailableError(shard_id)
         if ok < len(calls) and isinstance(result, UpdateResult):
             result = UpdateResult(result.operation_id, UpdateStatus.ACKNOWLEDGED)
         return result
-
-    def _write_fanout(
-        self, shard_calls: dict[int, list[tuple]], tolerate: tuple = ()
-    ) -> list:
-        """Fan a write out across shards on the persistent broadcast pool.
-
-        ``shard_calls[shard_id]`` is the ordered list of per-replica
-        transport calls for that shard.  Shards are mutually independent, so
-        they run in parallel (one pool task per shard); within a shard the
-        replica chain stays serial for ordering.  Results come back in
-        ascending shard order regardless of completion order.  Exception
-        classes in ``tolerate`` are returned in place of that shard's result
-        instead of raised, so the caller can retry just the failed shards.
-        """
-        if not shard_calls:
-            return []
-        shards = sorted(shard_calls)
-        total_calls = sum(len(c) for c in shard_calls.values())
-        tracer = get_tracer()
-        width = self._fanout_width(len(shards))
-        t0 = monotonic()
-
-        def run(shard_id: int, ctx):
-            try:
-                return self._run_shard_chain(shard_id, shard_calls[shard_id], ctx)
-            except tolerate as exc:
-                return exc
-
-        with tracer.span(
-            "cluster.fanout",
-            {"shards": len(shards), "calls": total_calls, "width": width}
-            if tracer.enabled else None,
-        ):
-            ctx = tracer.current_context()
-            if width <= 1 or len(shards) == 1:
-                results = [run(s, ctx) for s in shards]
-            else:
-                pool = self._fanout_pool(width)
-                futures = [pool.submit(run, s, ctx) for s in shards]
-                results = [f.result() for f in futures]
-        self.fanout_stats.record_fanout(
-            len(shards), monotonic() - t0, calls=total_calls
-        )
-        return results
 
     @staticmethod
     def _aggregate_update(results: list) -> UpdateResult:
@@ -606,20 +554,23 @@ class Cluster:
             for _ in range(3):
                 entered, extra = self._enter_migration_gates(name, pending)
                 try:
-                    shard_calls: dict[int, list[tuple]] = {}
+                    tasks: list[tuple[int, list[tuple]]] = []
                     for shard_id in pending:
                         holders = state.plan.workers_for(shard_id)
                         target = extra.get(shard_id)
                         if target is not None and target not in holders:
                             holders.append(target)  # double-write to move target
-                        shard_calls[shard_id] = make_calls(shard_id, holders)
-                    outcomes = self._write_fanout(
-                        shard_calls, tolerate=(CollectionNotFoundError,)
+                        tasks.append((shard_id, make_calls(shard_id, holders)))
+                    # One pool task per shard: shards are independent, while
+                    # each shard's replica chain stays serial for ordering.
+                    outcomes = self._fan_out(
+                        tasks, self._run_shard_chain,
+                        calls=sum(len(c) for _, c in tasks),
                     )
                 finally:
                     self._exit_migration_gates(entered)
                 failed: list[int] = []
-                for shard_id, outcome in zip(sorted(shard_calls), outcomes):
+                for shard_id, outcome in zip(pending, outcomes):
                     if isinstance(outcome, CollectionNotFoundError):
                         failed.append(shard_id)
                         last = outcome
@@ -1188,24 +1139,19 @@ class Cluster:
     def _shard_assignment(
         self,
         state: ClusterCollectionState,
-        shard_ids: Sequence[int] | None = None,
-        exclude: Mapping[int, set[str]] | None = None,
-    ) -> tuple[dict[str, list[int]], list[int]]:
-        """worker -> shards it will serve (one live replica per shard),
-        plus the shards with no admissible replica left."""
-        if shard_ids is None:
-            shard_ids = range(state.plan.shard_number)
+        shard_ids: Sequence[int],
+        exclude: Mapping[int, set[str]],
+    ) -> dict[str, list[int]]:
+        """worker -> shards it will serve (one live replica per shard); a
+        shard with no admissible replica left is in no worker's list."""
         assignment: dict[str, list[int]] = {}
-        dead: list[int] = []
         for shard_id in shard_ids:
-            tried = exclude.get(shard_id, set()) if exclude else set()
             try:
-                holder = self._live_holder(state, shard_id, exclude=tried)
+                holder = self._live_holder(state, shard_id, exclude=exclude[shard_id])
             except NoReplicaAvailableError:
-                dead.append(shard_id)
                 continue
             assignment.setdefault(holder, []).append(shard_id)
-        return assignment, dead
+        return assignment
 
     def _failover_read(
         self,
@@ -1214,8 +1160,6 @@ class Cluster:
         shard_ids: Sequence[int],
         method: str,
         payload,
-        *,
-        allow_partial: bool,
     ) -> tuple[list, set[int]]:
         """Fan a read over ``shard_ids`` with per-shard replica failover.
 
@@ -1226,17 +1170,15 @@ class Cluster:
         repeated.  A worker that refused one shard (``ShardRetiredError``)
         is excluded for that shard only.
         Returns the successful per-call results and the set of shards that
-        answered.  Shards whose replicas are all gone raise
-        ``NoReplicaAvailableError`` unless ``allow_partial``.
+        answered; a shard whose replicas are all gone is simply missing from
+        it (the caller decides, per request, whether that is an error).
         """
         pending = list(shard_ids)
         tried: dict[int, set[str]] = {s: set() for s in pending}
         results: list = []
         answered: set[int] = set()
-        lost: set[int] = set()
         while pending:
-            assignment, dead = self._shard_assignment(state, pending, tried)
-            lost.update(dead)
+            assignment = self._shard_assignment(state, pending, tried)
             if not assignment:
                 break
             calls = [
@@ -1261,11 +1203,6 @@ class Cluster:
                     answered.update(assigned)
             if pending:
                 self.failover_stats.record_failover(len(pending))
-        missing = lost | (set(shard_ids) - answered)
-        if missing:
-            if not allow_partial:
-                raise NoReplicaAvailableError(min(missing))
-            self.failover_stats.record_degraded()
         return results, answered
 
     def _predicated_shards(self, state: ClusterCollectionState, request: SearchRequest
@@ -1307,7 +1244,8 @@ class Cluster:
         Failed lanes fail over to surviving replicas; with
         ``request.allow_partial`` the result degrades (flagged on the
         returned :class:`~repro.core.types.SearchResult`) instead of
-        raising when a shard has no live replica left.
+        raising when a shard has no live replica left.  Served through the
+        result cache when one is enabled.
         """
         name, state = self._resolve(name)
         tracer = get_tracer()
@@ -1316,74 +1254,11 @@ class Cluster:
             "cluster.search",
             {"collection": name} if tracer.enabled else None,
         ) as sp:
-            shard_ids = self._query_shards(
-                state, self._predicated_shards(state, request)
-            )
-            if not shard_ids:
-                # e.g. an empty HasId predicate: nothing to fan out to.
-                result = SearchResult([], shards_total=0)
-            elif self.result_cache is not None:
-                sp.set_attr("shards", len(shard_ids))
-                result = self._search_cached(name, state, request, shard_ids)
-            else:
-                sp.set_attr("shards", len(shard_ids))
-                partials, answered = self._failover_read(
-                    name, state, shard_ids, "search", request,
-                    allow_partial=request.allow_partial,
-                )
-                hits = self._reduce(state, partials, request.limit)
-                result = SearchResult(
-                    hits, shards_total=len(shard_ids), shards_answered=len(answered)
-                )
+            [result] = self._serve(name, state, [request], self.result_cache)
+            if isinstance(result, NoReplicaAvailableError):
+                raise result
+            sp.set_attr("shards", result.shards_total)
         self._hist_query.observe(monotonic() - t0)
-        return result
-
-    def _search_cached(
-        self,
-        name: str,
-        state: ClusterCollectionState,
-        request: SearchRequest,
-        shard_ids: Sequence[int],
-    ) -> SearchResult:
-        """:meth:`search`'s fan-out, fronted by the result cache.
-
-        The collection's write epoch is read *before* the fan-out so a
-        write landing mid-flight refuses the fill; the fenced worker RPC
-        returns each shard's observed generation, which both feeds the
-        cluster tier's staleness tracking and fences the new entry.  A
-        degraded result (missing shards) is served but never cached.
-        """
-        cache = self.result_cache
-        fingerprint = request.fingerprint(name)
-        shard_set = frozenset(shard_ids)
-        epoch = cache.epoch(name)
-        t_lookup = monotonic()
-        cached = cache.lookup(fingerprint, collection=name, shard_set=shard_set)
-        self._hist_cache_lookup.observe(monotonic() - t_lookup)
-        if cached is not None:
-            return cached
-        partials, answered = self._failover_read(
-            name, state, shard_ids, "search_fenced", (request, fingerprint),
-            allow_partial=request.allow_partial,
-        )
-        gen_map: dict[int, int] = {}
-        hit_lists: list[list[ScoredPoint]] = []
-        for hits, gens in partials:
-            hit_lists.append(hits)
-            for shard_id, gen in gens.items():
-                if gen > gen_map.get(shard_id, -1):
-                    gen_map[shard_id] = gen
-        result = SearchResult(
-            self._reduce(state, hit_lists, request.limit),
-            shards_total=len(shard_ids),
-            shards_answered=len(answered),
-        )
-        cache.observe_generations(name, gen_map)
-        if len(answered) == len(shard_ids) and all(s in gen_map for s in shard_ids):
-            cache.fill(
-                fingerprint, result, collection=name, shard_set=shard_set,
-                epoch=epoch, gen_vector={s: gen_map[s] for s in shard_ids},
-            )
         return result
 
     def recommend(self, name: str, request) -> list[ScoredPoint]:
@@ -1417,85 +1292,39 @@ class Cluster:
         limit: int | None = None,
     ):
         """Distributed grouped search: broadcast wide, group at the reducer."""
-        limit = limit if limit is not None else request.limit
-        wide = SearchRequest(
-            vector=request.vector,
-            limit=max(limit * group_size * 4, request.limit),
-            filter=request.filter,
-            params=request.params,
-            with_payload=True,
-            with_vector=request.with_vector,
-            score_threshold=request.score_threshold,
+        return group_search(
+            partial(self.search, name), request,
+            group_by=group_by, group_size=group_size, limit=limit,
         )
-        hits = self.search(name, wide)
-        groups: dict[Any, list[ScoredPoint]] = {}
-        order: list[Any] = []
-        for hit in hits:
-            key = (hit.payload or {}).get(group_by)
-            if key is None:
-                continue
-            bucket = groups.setdefault(key, [])
-            if not bucket:
-                order.append(key)
-            if len(bucket) < group_size:
-                bucket.append(hit)
-        return [(key, groups[key]) for key in order[:limit]]
 
     def delete_by_filter(self, name: str, flt) -> int:
-        """Delete matching points on every shard; returns the total removed."""
+        """Delete matching points on every shard; returns the total removed.
+
+        Victims are collected per shard from one replica (with failover),
+        then removed by one :meth:`delete`, which enters the migration
+        gates, double-writes to a move target and fences the result cache.
+        """
         name, state = self._resolve(name)
-        total = 0
-        for shard_id, holders in state.plan.assignments.items():
-            # collect victims from one replica (with failover), then delete on
-            # every replica that still answers — an unreachable replica is
-            # skipped, matching the write path's partial-ack semantics.
+        victims: list[PointId] = []
+        for shard_id in range(state.plan.shard_number):
             page, _ = self._read_shard(
                 state, shard_id, "scroll", name, shard_id, limit=10**9, flt=flt,
                 with_payload=False, with_vector=False,
             )
-            victims = [r.id for r in page]
-            if not victims:
-                continue
-            ok = 0
-            for worker_id in holders:
-                if worker_id not in self._workers:
-                    continue
-                try:
-                    self._call_with_retry(worker_id, "delete", name, shard_id, victims)
-                    ok += 1
-                except TransportError:
-                    self.failover_stats.record_failover()
-            if ok == 0:
-                raise NoReplicaAvailableError(shard_id)
-            total += len(victims)
-        return total
-
-    def _batch_predicated_shards(
-        self, state: ClusterCollectionState, requests: Sequence[SearchRequest]
-    ) -> set[int] | None:
-        """Union of per-request shard predicates, or ``None`` to broadcast.
-
-        Narrowing is only safe when *every* request in the batch is pinned
-        to known shards; one unpredicated query forces the full broadcast.
-        Extra shards for an individual request are harmless — a HasId
-        filter returns nothing from shards that do not own the ids.
-        """
-        union: set[int] = set()
-        for request in requests:
-            shards = self._predicated_shards(state, request)
-            if shards is None:
-                return None
-            union |= shards
-        return union
+            victims.extend(r.id for r in page)
+        if victims:
+            self.delete(name, victims)
+        return len(victims)
 
     def search_batch(self, name: str, requests: Sequence[SearchRequest]
                      ) -> list[SearchResult]:
         """Broadcast–reduce for a batch of queries (one fan-out per worker).
 
-        Shares the single-query failover semantics; a degraded return
-        requires *every* request in the batch to set ``allow_partial``
-        (one strict query keeps the whole batch strict, as they share the
-        fan-out).
+        Element ``i`` equals ``search(requests[i])`` on an uncached cluster,
+        ``shards_total`` and strictness included; the first strict request
+        whose shard went unanswered raises.  Never served from or filled
+        into the result cache: batch traffic is unique queries, and filling
+        from it would evict the hot entries repeated traffic hits.
         """
         name, state = self._resolve(name)
         requests = list(requests)
@@ -1508,25 +1337,10 @@ class Cluster:
             {"collection": name, "requests": len(requests)}
             if tracer.enabled else None,
         ):
-            only_shards = self._batch_predicated_shards(state, requests)
-            shard_ids = self._query_shards(state, only_shards)
-            if not shard_ids:
-                return [SearchResult([], shards_total=0) for _ in requests]
-            allow_partial = all(r.allow_partial for r in requests)
-            per_worker, answered = self._failover_read(
-                name, state, shard_ids, "search_batch", requests,
-                allow_partial=allow_partial,
-            )
-            out: list[SearchResult] = []
-            for qi, request in enumerate(requests):
-                partials = [worker_hits[qi] for worker_hits in per_worker]
-                out.append(
-                    SearchResult(
-                        self._reduce(state, partials, request.limit),
-                        shards_total=len(shard_ids),
-                        shards_answered=len(answered),
-                    )
-                )
+            out = self._serve(name, state, requests, None)
+            for result in out:
+                if isinstance(result, NoReplicaAvailableError):
+                    raise result
         wall = monotonic() - t0
         self._hist_query_batch.observe(wall)
         # Amortized per-query latency keeps cluster.query_s meaningful under
@@ -1539,15 +1353,14 @@ class Cluster:
     ) -> list["SearchResult | Exception"]:
         """One shared fan-out, per-request failover semantics.
 
-        The coalescer's execution path.  Unlike :meth:`search_batch` —
-        where one strict request keeps the whole batch strict — each slot
-        of the returned list carries exactly what its request would have
-        seen on the serial :meth:`search` path: a ``SearchResult`` with
-        that request's own ``shards_total`` / ``shards_answered`` (flagged
-        degraded only if one of *its* shards went unanswered and it set
-        ``allow_partial``), or the ``NoReplicaAvailableError`` a strict
-        request would have raised.  A failed shard therefore degrades only
-        the callers whose shard set covers it; it never poisons the batch.
+        The coalescer's execution path.  Slot ``i`` of the returned list
+        carries exactly what :meth:`search` would return or raise for
+        ``requests[i]`` — a ``SearchResult`` with that request's own
+        ``shards_total`` / ``shards_answered``, or the
+        ``NoReplicaAvailableError`` a strict request would have raised — so
+        a failed shard degrades only the callers whose shard set covers it
+        and never poisons the batch.  Served through the result cache when
+        one is enabled, like :meth:`search`.
         """
         name, state = self._resolve(name)
         requests = list(requests)
@@ -1560,138 +1373,103 @@ class Cluster:
             {"collection": name, "requests": len(requests), "demux": True}
             if tracer.enabled else None,
         ):
-            # Per-request shard coverage (the serial path's shard_ids), plus
-            # the union actually fanned out to.
-            per_request_shards = [
-                self._query_shards(state, self._predicated_shards(state, r))
-                for r in requests
-            ]
-            if self.result_cache is not None:
-                out = self._demux_cached(name, state, requests, per_request_shards)
-                wall = monotonic() - t0
-                self._hist_query_batch.observe(wall)
-                self._hist_query.observe(wall / len(requests))
-                return out
-            union: list[int] = sorted({s for ids in per_request_shards for s in ids})
-            if union:
-                # Never raise mid-batch: gather what answers, then apply
-                # each request's own strictness when demultiplexing.
-                per_worker, answered = self._failover_read(
-                    name, state, union, "search_batch", requests,
-                    allow_partial=True,
-                )
-            else:
-                per_worker, answered = [], set()
-            out: list[SearchResult | Exception] = []
-            for qi, (request, shard_ids) in enumerate(
-                zip(requests, per_request_shards)
-            ):
-                if not shard_ids:
-                    out.append(SearchResult([], shards_total=0))
-                    continue
-                missing = set(shard_ids) - answered
-                if missing and not request.allow_partial:
-                    out.append(NoReplicaAvailableError(min(missing)))
-                    continue
-                partials = [worker_hits[qi] for worker_hits in per_worker]
-                out.append(
-                    SearchResult(
-                        self._reduce(state, partials, request.limit),
-                        shards_total=len(shard_ids),
-                        shards_answered=len(set(shard_ids) & answered),
-                    )
-                )
+            out = self._serve(name, state, requests, self.result_cache)
         wall = monotonic() - t0
         self._hist_query_batch.observe(wall)
         self._hist_query.observe(wall / len(requests))
         return out
 
-    def _demux_cached(
+    def _serve(
         self,
         name: str,
         state: ClusterCollectionState,
         requests: Sequence[SearchRequest],
-        per_request_shards: Sequence[Sequence[int]],
-    ) -> list["SearchResult | Exception"]:
-        """:meth:`search_batch_demux`'s body with the result cache in front.
+        cache: ResultCache | None,
+    ) -> list["SearchResult | NoReplicaAvailableError"]:
+        """The one read body behind :meth:`search`, :meth:`search_batch` and
+        :meth:`search_batch_demux`.
 
-        Each request is looked up individually; only the misses are fanned
-        out (over the union of *their* shards — a batch whose hot queries
-        all hit touches no worker at all), and each miss fills the cache on
-        the way back out under the same fences as :meth:`_search_cached`.
+        Each request covers its own shard set (all shards, or the subset a
+        predicate pins).  With a ``cache``, the collection's write epoch is
+        read *before* the lookups, so a write landing mid-flight refuses the
+        fill, and only the misses fan out — through the fenced RPCs, whose
+        per-shard generations feed the cache's staleness tracking and fence
+        each fill.  The misses share one fan-out over the union of their
+        shards: the single RPC for one miss, the batch RPC for several
+        (segments guarantee ``search_batch(qs)[i] == search(qs[i])`` bit for
+        bit, so the choice changes no result).
+
+        The fan-out never raises for a lost shard.  Slot ``i`` gets a result
+        with request ``i``'s own ``shards_total`` / ``shards_answered``
+        (degraded only when one of *its* shards went unanswered and it set
+        ``allow_partial``), or the ``NoReplicaAvailableError`` a strict
+        request raises.  A degraded result is served but never cached.
         """
-        cache = self.result_cache
-        fingerprints = [r.fingerprint(name) for r in requests]
-        epoch = cache.epoch(name)
-        out: list[SearchResult | Exception | None] = [None] * len(requests)
-        miss: list[int] = []
-        for qi, shard_ids in enumerate(per_request_shards):
+        shard_sets = [
+            self._query_shards(state, self._predicated_shards(state, r))
+            for r in requests
+        ]
+        out: list = [None] * len(requests)
+        if cache is not None:
+            fingerprints = [r.fingerprint(name) for r in requests]
+            epoch = cache.epoch(name)
+        misses: list[int] = []
+        for qi, shard_ids in enumerate(shard_sets):
             if not shard_ids:
+                # e.g. an empty HasId predicate: nothing to fan out to.
                 out[qi] = SearchResult([], shards_total=0)
                 continue
-            t_lookup = monotonic()
-            cached = cache.lookup(
-                fingerprints[qi], collection=name, shard_set=frozenset(shard_ids)
-            )
-            self._hist_cache_lookup.observe(monotonic() - t_lookup)
-            if cached is not None:
-                out[qi] = cached
-            else:
-                miss.append(qi)
-        if not miss:
+            if cache is not None:
+                t_lookup = monotonic()
+                out[qi] = cache.lookup(
+                    fingerprints[qi], collection=name, shard_set=frozenset(shard_ids)
+                )
+                self._hist_cache_lookup.observe(monotonic() - t_lookup)
+            if out[qi] is None:
+                misses.append(qi)
+        if not misses:
             return out
-        union = sorted({s for qi in miss for s in per_request_shards[qi]})
-        miss_requests = [requests[qi] for qi in miss]
-        miss_fingerprints = [fingerprints[qi] for qi in miss]
-        per_worker, answered = self._failover_read(
-            name, state, union, "search_batch_fenced",
-            (miss_requests, miss_fingerprints),
-            allow_partial=True,
-        )
+        single = len(misses) == 1
+        batch = [requests[qi] for qi in misses]
+        method, payload = ("search", batch[0]) if single else ("search_batch", batch)
+        if cache is not None:
+            miss_fps = [fingerprints[qi] for qi in misses]
+            method += "_fenced"
+            payload = (payload, miss_fps[0] if single else miss_fps)
+        union = sorted({s for qi in misses for s in shard_sets[qi]})
+        replies, answered = self._failover_read(name, state, union, method, payload)
         gen_map: dict[int, int] = {}
-        worker_hits: list[list[list[ScoredPoint]]] = []
-        for hits_lists, gens in per_worker:
-            worker_hits.append(hits_lists)
-            for shard_id, gen in gens.items():
-                if gen > gen_map.get(shard_id, -1):
-                    gen_map[shard_id] = gen
-        cache.observe_generations(name, gen_map)
-        for mi, qi in enumerate(miss):
-            request = requests[qi]
-            shard_ids = per_request_shards[qi]
+        if cache is not None:
+            for _, gens in replies:
+                for shard_id, gen in gens.items():
+                    if gen > gen_map.get(shard_id, -1):
+                        gen_map[shard_id] = gen
+            cache.observe_generations(name, gen_map)
+            replies = [hits for hits, _ in replies]
+        distance = state.config.vectors.distance
+        degraded = False
+        for mi, qi in enumerate(misses):
+            request, shard_ids = requests[qi], shard_sets[qi]
             missing = set(shard_ids) - answered
             if missing and not request.allow_partial:
                 out[qi] = NoReplicaAvailableError(min(missing))
                 continue
-            partials = [hits_lists[mi] for hits_lists in worker_hits]
-            result = SearchResult(
-                self._reduce(state, partials, request.limit),
+            degraded = degraded or bool(missing)
+            partials = replies if single else [reply[mi] for reply in replies]
+            out[qi] = result = SearchResult(
+                merge_hits(partials, request.limit, distance),
                 shards_total=len(shard_ids),
-                shards_answered=len(set(shard_ids) & answered),
+                shards_answered=len(shard_ids) - len(missing),
             )
-            out[qi] = result
-            if not missing and all(s in gen_map for s in shard_ids):
+            if cache is not None and not missing and all(s in gen_map for s in shard_ids):
                 cache.fill(
                     fingerprints[qi], result, collection=name,
                     shard_set=frozenset(shard_ids), epoch=epoch,
                     gen_vector={s: gen_map[s] for s in shard_ids},
                 )
+        if degraded:
+            self.failover_stats.record_degraded()
         return out
-
-    @staticmethod
-    def _reduce(state: ClusterCollectionState, partials: list[list[ScoredPoint]],
-                limit: int) -> list[ScoredPoint]:
-        distance = state.config.vectors.distance
-        merged: dict[PointId, ScoredPoint] = {}
-        for hits in partials:
-            for hit in hits:
-                prev = merged.get(hit.id)
-                if prev is None or distance.is_better(hit.score, prev.score):
-                    merged[hit.id] = hit
-        ordered = sorted(
-            merged.values(), key=lambda h: h.score, reverse=distance.higher_is_better
-        )
-        return ordered[:limit]
 
     def _read_shard(self, state: ClusterCollectionState, shard_id: int,
                     method: str, *args, **kwargs):
@@ -1820,7 +1598,7 @@ class Cluster:
             {"collection": name, "kind": kind, "calls": len(calls)}
             if tracer.enabled else None,
         ):
-            reports = self._fan_out(calls)
+            reports = self._fan_out(calls, self._timed_call)
         built: dict[str, list[int]] = {}
         for call, report in zip(calls, reports):
             built.setdefault(call[0], []).extend(n for _, n in report.index_builds)

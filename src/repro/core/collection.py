@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -33,6 +33,7 @@ from .optimizer import (
     SegmentOptimizer,
     splice_segments,
 )
+from .distances import merge_hits
 from .parallel import ParallelBuildReport, build_segment_indexes
 from .segment import Segment
 from .types import (
@@ -50,7 +51,41 @@ from .types import (
 )
 from .wal import WriteAheadLog
 
-__all__ = ["Collection", "MaintenanceSnapshot", "MigrationState"]
+__all__ = ["Collection", "MaintenanceSnapshot", "MigrationState", "group_search"]
+
+
+def group_search(
+    search,
+    request: SearchRequest,
+    *,
+    group_by: str,
+    group_size: int = 1,
+    limit: int | None = None,
+) -> list[tuple[Any, list[ScoredPoint]]]:
+    """Run ``search`` over-fetched, then collapse hits by a payload key.
+
+    Returns up to ``limit`` (group key, top ``group_size`` hits) pairs,
+    ordered by each group's best score.  The wide request is ``request``
+    with only the limit and the payload projection changed, so every other
+    knob (filter, params, threshold, ``allow_partial``) reaches ``search``.
+    """
+    limit = limit if limit is not None else request.limit
+    # over-fetch so enough distinct groups surface
+    wide = replace(
+        request, limit=max(limit * group_size * 4, request.limit), with_payload=True
+    )
+    groups: dict[Any, list[ScoredPoint]] = {}
+    order: list[Any] = []
+    for hit in search(wide):
+        key = (hit.payload or {}).get(group_by)
+        if key is None:
+            continue
+        bucket = groups.setdefault(key, [])
+        if not bucket:
+            order.append(key)
+        if len(bucket) < group_size:
+            bucket.append(hit)
+    return [(key, groups[key]) for key in order[:limit]]
 
 
 @dataclass
@@ -947,24 +982,7 @@ class Collection:
                         quantization_rescore=params.quantization_rescore,
                     )
                 )
-        return self._merge_hits(per_segment, request.limit)
-
-    def _merge_hits(
-        self, per_segment: list[list[ScoredPoint]], limit: int
-    ) -> list[ScoredPoint]:
-        distance = self.config.vectors.distance
-        merged: dict[PointId, ScoredPoint] = {}
-        for hits in per_segment:
-            for hit in hits:
-                prev = merged.get(hit.id)
-                if prev is None or distance.is_better(hit.score, prev.score):
-                    merged[hit.id] = hit
-        ordered = sorted(
-            merged.values(),
-            key=lambda h: h.score,
-            reverse=distance.higher_is_better,
-        )
-        return ordered[:limit]
+        return merge_hits(per_segment, request.limit, self.config.vectors.distance)
 
     @property
     def distance(self):
@@ -991,30 +1009,9 @@ class Collection:
         chunked corpora: chunk-level hits grouped by ``paper_id`` yield
         paper-level results (§3.1's chunking future work).
         """
-        limit = limit if limit is not None else request.limit
-        # over-fetch so enough distinct groups surface
-        wide = SearchRequest(
-            vector=request.vector,
-            limit=max(limit * group_size * 4, request.limit),
-            filter=request.filter,
-            params=request.params,
-            with_payload=True,
-            with_vector=request.with_vector,
-            score_threshold=request.score_threshold,
+        return group_search(
+            self.search, request, group_by=group_by, group_size=group_size, limit=limit
         )
-        hits = self.search(wide)
-        groups: dict[Any, list[ScoredPoint]] = {}
-        order: list[Any] = []
-        for hit in hits:
-            key = (hit.payload or {}).get(group_by)
-            if key is None:
-                continue
-            bucket = groups.setdefault(key, [])
-            if not bucket:
-                order.append(key)
-            if len(bucket) < group_size:
-                bucket.append(hit)
-        return [(key, groups[key]) for key in order[:limit]]
 
     def count(self, flt: Condition | None = None) -> int:
         """Number of live points, optionally restricted by a filter."""
@@ -1089,7 +1086,8 @@ class Collection:
             )
             for qi, hits in enumerate(seg_hits):
                 per_query[qi].append(hits)
-        return [self._merge_hits(hits, r0.limit) for hits in per_query]
+        distance = self.config.vectors.distance
+        return [merge_hits(hits, r0.limit, distance) for hits in per_query]
 
     def close(self) -> None:
         driver = self._maintenance

@@ -35,6 +35,7 @@ __all__ = [
     "CODE_GEMM_TILE_ROWS",
     "top_k",
     "merge_top_k",
+    "merge_hits",
 ]
 
 _EPS = np.float32(1e-30)
@@ -272,3 +273,23 @@ def merge_top_k(
     all_scores = np.concatenate([np.asarray(s) for _, s in parts])
     idx, scores = top_k(all_scores, k, distance)
     return all_ids[idx], scores
+
+
+def merge_hits(partials, limit: int, distance: Distance) -> list:
+    """Merge per-shard or per-segment ``ScoredPoint`` lists into a top-``limit`` list.
+
+    The hit-object form of :func:`merge_top_k`, for results that carry
+    payloads and vectors: an id seen in several partials keeps its better
+    score (the earlier partial on a tie), and the stable best-first sort
+    keeps first-seen order among equal scores.
+    """
+    merged: dict = {}
+    for hits in partials:
+        for hit in hits:
+            prev = merged.get(hit.id)
+            if prev is None or distance.is_better(hit.score, prev.score):
+                merged[hit.id] = hit
+    ordered = sorted(
+        merged.values(), key=lambda h: h.score, reverse=distance.higher_is_better
+    )
+    return ordered[:limit]

@@ -445,9 +445,13 @@ class Segment:
         """``(codes, Σc, Σc²)`` rows for ``live`` — zero-copy views when the
         segment has no tombstones and no filter narrowed the set."""
         assert self._codes is not None
-        if live.size == len(self._codes):
-            codes = self._codes.view()
+        n = live.size
+        if n == len(self._codes):
+            # ``live`` is rows 0..n-1; a row an append published after the
+            # length check must not join this scan.
+            codes = self._codes.view()[:n]
             sums, sq = self._codes.corrections()
+            sums, sq = sums[:n], sq[:n]
         else:
             codes = self._codes.take(live)
             sums, sq = self._codes.corrections(live)

@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core.cluster import Cluster
 from repro.core.errors import CollectionExistsError, CollectionNotFoundError
+from repro.core.resharding import ShardMigration
 from repro.core.transport import InstrumentedTransport, LocalTransport
 from repro.core.worker import Worker
 
@@ -116,6 +117,40 @@ class TestDeleteByFilter:
                 for w in state.plan.workers_for(shard)
             }
             assert len(counts) == 1
+
+    def test_cluster_delete_by_filter_fences_result_cache(self):
+        cluster = Cluster.with_workers(2)
+        cluster.create_collection(config())
+        cluster.upsert("c", points(40))
+        cluster.enable_cache()
+        request = SearchRequest(vector=np.ones(DIM), limit=40, with_payload=True)
+        assert len(cluster.search("c", request)) == 40  # now cached
+        assert cluster.delete_by_filter("c", FieldMatch("g", 0)) == 10
+        hits = cluster.search("c", request)
+        assert len(hits) == 30
+        assert all(h.payload["g"] != 0 for h in hits)
+
+    def test_cluster_delete_by_filter_double_writes_to_move_target(self):
+        """A shard mid-move takes the delete on its target too, as
+        :meth:`Cluster.delete` does under the migration write gates."""
+        cluster = Cluster.with_workers(3)
+        cluster.create_collection(config().with_(shard_number=2))
+        cluster.upsert("c", points(40))
+        state = cluster._state("c")
+        [source] = state.plan.workers_for(0)
+        target = next(w for w in cluster.worker_ids if w not in state.plan.workers_for(0))
+        cluster.transport.call(target, "create_shard", "c", 0, state.config)
+        on_shard = [p for p in points(40) if state.router.shard_for(p.id) == 0]
+        cluster.transport.call(target, "upsert", "c", 0, on_shard)
+        mig = ShardMigration("c", 0, source, target, double_write=True)
+        cluster._register_migration(mig)
+        try:
+            cluster.delete_by_filter("c", FieldMatch("g", 1))
+        finally:
+            cluster._unregister_migration(mig)
+        kept = len(on_shard) - sum(p.payload["g"] == 1 for p in on_shard)
+        assert cluster.transport.call(source, "count", "c", 0) == kept
+        assert cluster.transport.call(target, "count", "c", 0) == kept
 
 
 class TestPredicatedRouting:

@@ -14,6 +14,8 @@ from repro.core import (
     VectorParams,
 )
 from repro.core.cluster import Cluster
+from repro.core.transport import FaultInjectingTransport, LocalTransport
+from repro.core.worker import Worker
 from repro.embed.chunking import FixedSizeChunker, chunk_corpus_points
 from repro.embed.model import HashingEmbedder
 from repro.workloads.pes2o import Pes2oCorpus
@@ -98,6 +100,27 @@ class TestSearchGroups:
         assert [k for k, _ in local] == [k for k, _ in dist]
         for (_, lh), (_, dh) in zip(local, dist):
             assert [h.id for h in lh] == [h.id for h in dh]
+
+    def test_cluster_groups_keep_allow_partial(self):
+        """The wide request keeps ``allow_partial``: with a shard lost, the
+        groups come from the surviving shards instead of an error."""
+        faulty = FaultInjectingTransport(LocalTransport())
+        cluster = Cluster(faulty)
+        for i in range(2):
+            cluster.add_worker(Worker(f"w{i}"))
+        cluster.create_collection(config("dist"))
+        rng = np.random.default_rng(0)
+        cluster.upsert("dist", [
+            PointStruct(id=i, vector=rng.normal(size=DIM), payload={"doc": i // 10})
+            for i in range(50)
+        ])
+        faulty.fail_worker("w0")
+        request = SearchRequest(vector=rng.normal(size=DIM), limit=4, allow_partial=True)
+        assert cluster.search("dist", request).degraded
+        groups = cluster.search_groups("dist", request, group_by="doc", group_size=2)
+        surviving = set(cluster._workers["w1"].shard_ids("dist"))
+        assert groups
+        assert all(h.shard_id in surviving for _, hits in groups for h in hits)
 
 
 class TestChunkedRetrieval:
