@@ -50,6 +50,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ..obs.metrics import Counters
 from .transport import estimate_payload_bytes
 from .types import ScoredPoint, SearchResult
 
@@ -90,7 +91,8 @@ class CachePolicy:
             raise ValueError("cache entry budgets must be >= 1")
 
 
-class CacheStats:
+@dataclass
+class CacheStats(Counters):
     """Counters describing one cache tier's behaviour.
 
     ``hits / lookups`` is the hit rate; ``invalidations`` counts entries
@@ -99,43 +101,18 @@ class CacheStats:
     refused because a single result outweighed the whole byte budget.
     """
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.fills = 0
-        self.evictions = 0
-        self.invalidations = 0
-        self.rejected = 0
+    lookups: int = 0
+    hits: int = 0
+    misses: int = 0
+    fills: int = 0
+    evictions: int = 0
+    invalidations: int = 0
+    rejected: int = 0
 
     @property
     def hit_rate(self) -> float:
         with self._lock:
             return 0.0 if self.lookups == 0 else self.hits / self.lookups
-
-    def snapshot(self) -> dict:
-        """Consistent copy of every counter, taken under the stats lock."""
-        with self._lock:
-            return {
-                "lookups": self.lookups,
-                "hits": self.hits,
-                "misses": self.misses,
-                "fills": self.fills,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
-                "rejected": self.rejected,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.lookups = 0
-            self.hits = 0
-            self.misses = 0
-            self.fills = 0
-            self.evictions = 0
-            self.invalidations = 0
-            self.rejected = 0
 
 
 class _ClusterEntry:

@@ -42,7 +42,7 @@ from functools import partial
 from typing import Any, Mapping, Sequence
 
 from ..obs.clock import monotonic
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import Counters, MetricsRegistry, gauge, get_registry
 from ..obs.trace import TraceContext, get_tracer
 from .errors import (
     ClusterConfigError,
@@ -77,9 +77,14 @@ from .worker import Worker
 
 __all__ = ["Cluster", "ClusterCollectionState", "FanoutStats", "IngestStats"]
 
+#: Histograms the cluster's telemetry reads from the *global* registry: the
+#: segment, collection and resharding code that records them cannot know
+#: which cluster owns it.
+GLOBAL_HISTOGRAM_PREFIXES = ("quant.", "maint.", "reshard.")
+
 
 @dataclass
-class FanoutStats:
+class FanoutStats(Counters):
     """Counters describing the cluster's broadcast fan-outs.
 
     ``total_width / fanouts`` is the mean number of workers contacted per
@@ -90,13 +95,10 @@ class FanoutStats:
 
     fanouts: int = 0
     total_calls: int = 0
-    max_width: int = 0
+    max_width: int = gauge()
     total_width: int = 0
     wall_seconds: float = 0.0
     worker_seconds: dict[str, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def mean_width(self) -> float:
@@ -119,32 +121,9 @@ class FanoutStats:
                 self.worker_seconds.get(worker_id, 0.0) + seconds
             )
 
-    def snapshot(self) -> dict:
-        """Consistent copy of every counter, taken under the stats lock —
-        a concurrent ``record_fanout`` either lands wholly before or wholly
-        after this read, never half-applied."""
-        with self._lock:
-            return {
-                "fanouts": self.fanouts,
-                "total_calls": self.total_calls,
-                "max_width": self.max_width,
-                "total_width": self.total_width,
-                "wall_seconds": self.wall_seconds,
-                "worker_seconds": dict(self.worker_seconds),
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.fanouts = 0
-            self.total_calls = 0
-            self.max_width = 0
-            self.total_width = 0
-            self.wall_seconds = 0.0
-            self.worker_seconds.clear()
-
 
 @dataclass
-class IngestStats:
+class IngestStats(Counters):
     """Counters describing the cluster's write path (Figure 2's subject).
 
     ``points / wall_seconds`` is ingest throughput;
@@ -160,11 +139,8 @@ class IngestStats:
     wall_seconds: float = 0.0
     fanouts: int = 0
     total_width: int = 0
-    max_width: int = 0
+    max_width: int = gauge()
     shard_seconds: dict[int, float] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     @property
     def mean_width(self) -> float:
@@ -198,33 +174,6 @@ class IngestStats:
             self.shard_seconds[shard_id] = (
                 self.shard_seconds.get(shard_id, 0.0) + seconds
             )
-
-    def snapshot(self) -> dict:
-        """Consistent copy of every counter (see ``FanoutStats.snapshot``)."""
-        with self._lock:
-            return {
-                "upserts": self.upserts,
-                "deletes": self.deletes,
-                "points": self.points,
-                "bytes": self.bytes,
-                "wall_seconds": self.wall_seconds,
-                "fanouts": self.fanouts,
-                "total_width": self.total_width,
-                "max_width": self.max_width,
-                "shard_seconds": dict(self.shard_seconds),
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.upserts = 0
-            self.deletes = 0
-            self.points = 0
-            self.bytes = 0
-            self.wall_seconds = 0.0
-            self.fanouts = 0
-            self.total_width = 0
-            self.max_width = 0
-            self.shard_seconds.clear()
 
 
 class ClusterCollectionState:
@@ -1533,12 +1482,15 @@ class Cluster:
 
     def reset_telemetry(self, *, workers: bool = True,
                         histograms: bool = True) -> None:
-        """Zero the cluster-side counters.
+        """Zero every counter set of the cluster and, with ``workers``, of
+        each worker (see :meth:`Worker.reset_stats`).
 
-        Safe on a live cluster: every stats object is zeroed under the same
-        lock its ``record_*`` methods take, so a concurrent fan-out update
-        lands either wholly before or wholly after the reset — never into a
-        half-zeroed struct.
+        Safe on a live cluster: every set is zeroed under the same lock its
+        ``record_*`` methods take, so a concurrent fan-out update lands
+        either wholly before or wholly after the reset — never into a
+        half-zeroed struct.  Counters kept inside stored data (index, WAL
+        and quantized-segment counts) are not counter sets and are measured
+        by ``TelemetrySnapshot.diff`` instead.
         """
         self.fanout_stats.reset()
         self.ingest_stats.reset()
@@ -1555,10 +1507,10 @@ class Cluster:
         if histograms:
             self.metrics.reset()
             # Telemetry overlays segment/collection-level histograms from
-            # the *global* registry (quant.*, maint.*); reset those too so a
-            # post-reset collect() starts from zero like the cluster's own.
+            # the *global* registry; reset those too so a post-reset
+            # collect() starts from zero like the cluster's own.
             for name, hist in get_registry().histograms().items():
-                if name.startswith(("quant.", "maint.", "reshard.")):
+                if name.startswith(GLOBAL_HISTOGRAM_PREFIXES):
                     hist.reset()
         if self._resharder is not None:
             self._resharder.stats.reset()

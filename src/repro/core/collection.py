@@ -23,7 +23,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..obs.metrics import get_registry
+from ..obs.metrics import Counters, get_registry
 from ..obs.trace import get_tracer
 from .errors import CollectionNotFoundError, MaintenanceConflictError, PointNotFoundError
 from .filters import Condition
@@ -51,7 +51,7 @@ from .types import (
 )
 from .wal import WriteAheadLog
 
-__all__ = ["Collection", "MaintenanceSnapshot", "MigrationState", "group_search"]
+__all__ = ["Collection", "MaintenanceSnapshot", "MigrationState", "SwapStats", "group_search"]
 
 
 def group_search(
@@ -120,6 +120,28 @@ class MaintenanceSnapshot:
     generation: int
 
 
+@dataclass
+class SwapStats(Counters):
+    """Copy-on-write swap-protocol counters of one collection: committed
+    maintenance passes, passes whose swap changed segment state, and
+    journaled mid-pass mutations reconciled at swap time."""
+
+    passes: int = 0
+    swaps: int = 0
+    reconciled: int = 0
+
+    def __getitem__(self, name: str) -> int:
+        """``stats["passes"]``: the read of the plain dict this replaced."""
+        return getattr(self, name)
+
+    def record(self, did_work: bool, reconciled: int) -> None:
+        with self._lock:
+            self.passes += 1
+            if did_work:
+                self.swaps += 1
+            self.reconciled += reconciled
+
+
 class Collection:
     """A searchable set of points with one consistent vector configuration."""
 
@@ -157,7 +179,7 @@ class Collection:
         #: gets a retriable error instead of silently-lost acknowledged rows.
         self._retired = False
         #: Swap-protocol counters, aggregated by cluster telemetry.
-        self.maint_stats = {"passes": 0, "swaps": 0, "reconciled": 0}
+        self.maint_stats = SwapStats()
         self._wal: WriteAheadLog | None = None
         if config.wal.enabled:
             path = config.wal.path or os.path.join(directory or ".", f"{config.name}.wal")
@@ -575,10 +597,7 @@ class Collection:
         self._maint_active = None
         self._generation += 1
         self._last_report = plan.report
-        self.maint_stats["passes"] += 1
-        if plan.did_work:
-            self.maint_stats["swaps"] += 1
-        self.maint_stats["reconciled"] += len(journal)
+        self.maint_stats.record(plan.did_work, len(journal))
         return plan.report
 
     def _apply_plan_locked(

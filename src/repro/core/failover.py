@@ -26,9 +26,10 @@ import enum
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
+from ..obs.metrics import Counters
 from .router import splitmix64
 
 __all__ = [
@@ -96,7 +97,7 @@ class BreakerState(str, enum.Enum):
 
 
 @dataclass
-class FailoverStats:
+class FailoverStats(Counters):
     """Thread-safe counters for the cluster's failure handling."""
 
     retries: int = 0
@@ -109,9 +110,6 @@ class FailoverStats:
     #: Reads served by a migration *target* replica while its shard was
     #: mid-move (all regular holders unavailable, target caught up).
     migration_reads: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def record_retry(self, n: int = 1) -> None:
         with self._lock:
@@ -141,31 +139,6 @@ class FailoverStats:
                 self.breaker_half_opens += 1
             elif state is BreakerState.CLOSED:
                 self.breaker_closes += 1
-
-    def snapshot(self) -> dict:
-        """Consistent copy of every counter, taken under the stats lock."""
-        with self._lock:
-            return {
-                "retries": self.retries,
-                "failovers": self.failovers,
-                "timeouts": self.timeouts,
-                "degraded_queries": self.degraded_queries,
-                "breaker_opens": self.breaker_opens,
-                "breaker_half_opens": self.breaker_half_opens,
-                "breaker_closes": self.breaker_closes,
-                "migration_reads": self.migration_reads,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.retries = 0
-            self.failovers = 0
-            self.timeouts = 0
-            self.degraded_queries = 0
-            self.breaker_opens = 0
-            self.breaker_half_opens = 0
-            self.breaker_closes = 0
-            self.migration_reads = 0
 
 
 @dataclass

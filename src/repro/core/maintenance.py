@@ -31,10 +31,11 @@ maintained collection.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..obs.clock import monotonic
+from ..obs.metrics import Counters
 from .optimizer import OptimizerReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -44,7 +45,7 @@ __all__ = ["MaintenanceDriver", "MaintenanceStats"]
 
 
 @dataclass
-class MaintenanceStats:
+class MaintenanceStats(Counters):
     """Counters for one driver's lifetime (guarded by an internal lock)."""
 
     passes: int = 0
@@ -55,7 +56,6 @@ class MaintenanceStats:
     vectors_indexed: int = 0
     errors: int = 0
     busy_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(self, report: OptimizerReport, elapsed: float) -> None:
         with self._lock:
@@ -71,19 +71,6 @@ class MaintenanceStats:
     def record_error(self) -> None:
         with self._lock:
             self.errors += 1
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "passes": self.passes,
-                "passes_with_work": self.passes_with_work,
-                "segments_indexed": self.segments_indexed,
-                "segments_merged": self.segments_merged,
-                "segments_vacuumed": self.segments_vacuumed,
-                "vectors_indexed": self.vectors_indexed,
-                "errors": self.errors,
-                "busy_seconds": self.busy_seconds,
-            }
 
 
 class MaintenanceDriver:

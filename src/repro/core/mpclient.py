@@ -276,11 +276,9 @@ class ParallelClientPool:
         if cache:
             self.cluster.enable_cache()
         result_cache = self.cluster.result_cache
-        cache_before = (
-            result_cache.stats.snapshot() if result_cache is not None else {}
-        )
+        cache_before = result_cache.stats.copy() if result_cache is not None else None
         coalescer = QueryCoalescer.for_cluster(self.cluster) if coalesce else None
-        before = coalescer.stats.snapshot() if coalescer is not None else {}
+        before = coalescer.stats.copy() if coalescer is not None else None
         results: list = [None] * len(vectors)
         tracer = get_tracer()
 
@@ -312,13 +310,7 @@ class ParallelClientPool:
             total_s=monotonic() - start, queries=len(vectors), clients=n_clients
         )
         if coalescer is not None:
-            after = coalescer.stats.snapshot()
-            report.coalesce = {k: after[k] - before.get(k, 0) for k in after}
-            # High-water mark, not a counter — a diff would underreport it.
-            report.coalesce["max_width"] = after["max_width"]
+            report.coalesce = coalescer.stats.minus(before).snapshot()
         if result_cache is not None:
-            cache_after = result_cache.stats.snapshot()
-            report.cache = {
-                k: cache_after[k] - cache_before.get(k, 0) for k in cache_after
-            }
+            report.cache = result_cache.stats.minus(cache_before).snapshot()
         return results, report

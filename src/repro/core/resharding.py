@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..obs.clock import monotonic
+from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from .errors import TransportError
 from .router import PlacementPlan, ShardMove
@@ -88,7 +89,7 @@ class ReshardConfig:
 
 
 @dataclass
-class ReshardStats:
+class ReshardStats(Counters):
     """Counters for one coordinator's lifetime (guarded by a lock)."""
 
     jobs: int = 0
@@ -107,7 +108,10 @@ class ReshardStats:
     copy_seconds: float = 0.0
     #: Wall time the copy loop slept honouring ``throttle_bytes_per_s``.
     throttle_sleep_seconds: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    @property
+    def copy_bytes_per_second(self) -> float:
+        return 0.0 if self.copy_seconds <= 0 else self.bytes_copied / self.copy_seconds
 
     def record_job(self) -> None:
         with self._lock:
@@ -139,40 +143,6 @@ class ReshardStats:
         with self._lock:
             self.chunks_sent += 1
             self.throttle_sleep_seconds += slept
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "jobs": self.jobs,
-                "moves_started": self.moves_started,
-                "moves_completed": self.moves_completed,
-                "moves_failed": self.moves_failed,
-                "fallback_moves": self.fallback_moves,
-                "lossy_moves": self.lossy_moves,
-                "rows_copied": self.rows_copied,
-                "bytes_copied": self.bytes_copied,
-                "chunks_sent": self.chunks_sent,
-                "journal_replayed": self.journal_replayed,
-                "cutovers": self.cutovers,
-                "copy_seconds": self.copy_seconds,
-                "throttle_sleep_seconds": self.throttle_sleep_seconds,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.jobs = 0
-            self.moves_started = 0
-            self.moves_completed = 0
-            self.moves_failed = 0
-            self.fallback_moves = 0
-            self.lossy_moves = 0
-            self.rows_copied = 0
-            self.bytes_copied = 0
-            self.chunks_sent = 0
-            self.journal_replayed = 0
-            self.cutovers = 0
-            self.copy_seconds = 0.0
-            self.throttle_sleep_seconds = 0.0
 
 
 class ShardWriteGate:

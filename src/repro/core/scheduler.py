@@ -56,6 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..obs.clock import monotonic
+from ..obs.metrics import Counters, gauge
 from ..obs.trace import get_tracer
 from .types import SearchRequest, SearchResult
 
@@ -114,7 +115,7 @@ class CoalescePolicy:
 
 
 @dataclass
-class CoalesceStats:
+class CoalesceStats(Counters):
     """Counters describing the coalescer's behaviour.
 
     ``coalesced / batches`` is the mean batch width — the amortization
@@ -126,15 +127,12 @@ class CoalesceStats:
     batches: int = 0
     coalesced: int = 0
     total_width: int = 0
-    max_width: int = 0
+    max_width: int = gauge()
     solo_batches: int = 0
     bypasses: int = 0
     #: Queries answered by another in-flight identical query (same canonical
     #: fingerprint) without executing — the in-flight dedupe at dispatch.
     deduped: int = 0
-
-    def __post_init__(self):
-        self._lock = threading.Lock()
 
     @property
     def mean_width(self) -> float:
@@ -156,29 +154,6 @@ class CoalesceStats:
     def record_deduped(self, n: int) -> None:
         with self._lock:
             self.deduped += n
-
-    def snapshot(self) -> dict:
-        """Consistent copy of every counter (see ``FanoutStats.snapshot``)."""
-        with self._lock:
-            return {
-                "batches": self.batches,
-                "coalesced": self.coalesced,
-                "total_width": self.total_width,
-                "max_width": self.max_width,
-                "solo_batches": self.solo_batches,
-                "bypasses": self.bypasses,
-                "deduped": self.deduped,
-            }
-
-    def reset(self) -> None:
-        with self._lock:
-            self.batches = 0
-            self.coalesced = 0
-            self.total_width = 0
-            self.max_width = 0
-            self.solo_batches = 0
-            self.bypasses = 0
-            self.deduped = 0
 
 
 class _Pending:

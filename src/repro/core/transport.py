@@ -19,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from .errors import TransportError, WorkerUnavailableError
 from .types import ScoredPoint
@@ -260,7 +261,7 @@ class LocalTransport(Transport):
 
 
 @dataclass
-class TransportStats:
+class TransportStats(Counters):
     """Accumulated communication counters."""
 
     calls: int = 0
@@ -270,18 +271,12 @@ class TransportStats:
     bytes_by_method: dict[str, int] = field(default_factory=dict)
 
     def record(self, method: str, sent: int, received: int) -> None:
-        self.calls += 1
-        self.bytes_sent += sent
-        self.bytes_received += received
-        self.calls_by_method[method] = self.calls_by_method.get(method, 0) + 1
-        self.bytes_by_method[method] = self.bytes_by_method.get(method, 0) + sent + received
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.calls_by_method.clear()
-        self.bytes_by_method.clear()
+        with self._lock:
+            self.calls += 1
+            self.bytes_sent += sent
+            self.bytes_received += received
+            self.calls_by_method[method] = self.calls_by_method.get(method, 0) + 1
+            self.bytes_by_method[method] = self.bytes_by_method.get(method, 0) + sent + received
 
 
 class InstrumentedTransport(Transport):
@@ -295,11 +290,10 @@ class InstrumentedTransport(Transport):
     def __init__(self, inner: Transport, *, latency_s: float = 0.0):
         self.inner = inner
         self.latency_s = latency_s
-        self.stats = TransportStats()
-        # Stats accounting must stay consistent under the cluster's
-        # thread-pool fan-out; the latency sleep stays outside the lock so
+        # Its lock keeps the accounting consistent under the cluster's
+        # thread-pool fan-out; the latency sleep stays outside it so
         # concurrent calls still overlap.
-        self._lock = threading.Lock()
+        self.stats = TransportStats()
 
     def is_reachable(self, worker_id: str) -> bool:
         return self.inner.is_reachable(worker_id)
@@ -320,8 +314,7 @@ class InstrumentedTransport(Transport):
         else:
             result = self.inner.call(worker_id, method, *args, **kwargs)
             received = estimate_payload_bytes(result)
-        with self._lock:
-            self.stats.record(method, sent, received)
+        self.stats.record(method, sent, received)
         return result
 
 

@@ -19,11 +19,11 @@ computations, index build sizes) that the performance model reads.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from ..obs.clock import monotonic
+from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from .cache import CachePolicy, ShardResultCache
 from .collection import Collection
@@ -44,7 +44,7 @@ __all__ = ["Worker", "WorkerStats"]
 
 
 @dataclass
-class WorkerStats:
+class WorkerStats(Counters):
     """CPU-work counters the perf model charges time for."""
 
     vectors_inserted: int = 0
@@ -62,37 +62,6 @@ class WorkerStats:
     #: Vector payload bytes ingested via upserts.
     bytes_ingested: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter.
-
-        Not thread-safe by itself: callers racing live RPCs must hold the
-        owning worker's stats lock — use :meth:`Worker.reset_stats`.
-        """
-        self.vectors_inserted = 0
-        self.batches_received = 0
-        self.searches_served = 0
-        self.queries_served = 0
-        self.index_builds.clear()
-        self.search_seconds = 0.0
-        self.build_seconds = 0.0
-        self.write_seconds = 0.0
-        self.bytes_ingested = 0
-
-    def as_dict(self) -> dict:
-        """Plain-dict copy of the counters (caller must hold the lock if
-        the worker is live)."""
-        return {
-            "vectors_inserted": self.vectors_inserted,
-            "batches_received": self.batches_received,
-            "searches_served": self.searches_served,
-            "queries_served": self.queries_served,
-            "index_builds": list(self.index_builds),
-            "search_seconds": self.search_seconds,
-            "build_seconds": self.build_seconds,
-            "write_seconds": self.write_seconds,
-            "bytes_ingested": self.bytes_ingested,
-        }
-
 
 class Worker:
     """One stateful vector-database worker process (in-process model)."""
@@ -101,10 +70,9 @@ class Worker:
         self.worker_id = worker_id
         #: Compute node hosting this worker (4 per node on Polaris, §3.2).
         self.node_id = node_id
+        # Its lock guards every update: the cluster may issue concurrent
+        # calls to the same worker (e.g. parallel per-shard index builds).
         self.stats = WorkerStats()
-        # Guards stats mutation: the cluster may issue concurrent calls to
-        # the same worker (e.g. parallel per-shard index builds).
-        self._stats_lock = threading.Lock()
         # (collection_name, shard_id) -> Collection
         self._shards: dict[tuple[str, int], Collection] = {}
         # (collection_name, shard_id) -> background maintenance driver
@@ -115,17 +83,22 @@ class Worker:
     # -- stats ---------------------------------------------------------------
 
     def reset_stats(self) -> None:
-        """Zero the counters under the stats lock: a concurrent RPC's update
-        lands wholly before or wholly after the reset, never into a
-        half-zeroed struct (the race a bare ``stats.reset()`` allows)."""
-        with self._stats_lock:
-            self.stats.reset()
-        self.reset_shard_cache_stats()
+        """Zero every counter set this worker owns — its own, the shard
+        cache's, and each shard's swap and maintenance-driver counters —
+        each under its own lock, so a concurrent update lands wholly before
+        or wholly after the reset."""
+        self.stats.reset()
+        cache = self._shard_cache
+        if cache is not None:
+            cache.stats.reset()
+        for shard in list(self._shards.values()):
+            shard.maint_stats.reset()
+        for driver in list(self._maintenance.values()):
+            driver.stats.reset()
 
     def snapshot_stats(self) -> dict:
         """Consistent copy of the counters, taken under the stats lock."""
-        with self._stats_lock:
-            return self.stats.as_dict()
+        return self.stats.snapshot()
 
     # -- shard lifecycle -----------------------------------------------------
 
@@ -191,7 +164,7 @@ class Worker:
             self.create_shard(collection, shard_id, config)
         if points:
             self._shard(collection, shard_id).upsert(points)
-            with self._stats_lock:
+            with self.stats._lock:
                 self.stats.vectors_inserted += len(points)
         return len(points)
 
@@ -252,7 +225,7 @@ class Worker:
             return 0
         batch = Batch.from_arrays(ids, vectors, payloads)
         self._shard(collection, shard_id).upsert_columnar(batch)
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.vectors_inserted += n
         return n
 
@@ -279,7 +252,7 @@ class Worker:
             result = self._shard(collection, shard_id).upsert(points)
         # The cluster fans writes for *different* shards of this worker out
         # concurrently, so the counters need the same lock the read path uses.
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.vectors_inserted += len(points)
             self.stats.batches_received += 1
             self.stats.bytes_ingested += sum(p.as_array().nbytes for p in points)
@@ -297,7 +270,7 @@ class Worker:
             if tracer.enabled else None,
         ):
             result = self._shard(collection, shard_id).upsert_columnar(batch)
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.vectors_inserted += len(batch)
             self.stats.batches_received += 1
             self.stats.bytes_ingested += batch.nbytes
@@ -313,7 +286,7 @@ class Worker:
             if tracer.enabled else None,
         ):
             result = self._shard(collection, shard_id).delete(list(point_ids))
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.write_seconds += monotonic() - t0
         return result
 
@@ -345,7 +318,7 @@ class Worker:
                 for h in shard_hits:
                     h.shard_id = shard_id
                 hits.extend(shard_hits)
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.searches_served += 1
             self.stats.queries_served += 1
             self.stats.search_seconds += monotonic() - t0
@@ -369,7 +342,7 @@ class Worker:
                     for h in hits:
                         h.shard_id = shard_id
                     out[qi].extend(hits)
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.searches_served += 1
             self.stats.queries_served += len(requests)
             self.stats.search_seconds += monotonic() - t0
@@ -392,11 +365,6 @@ class Worker:
         """Counters of the shard-result cache, or None when disabled."""
         cache = self._shard_cache
         return None if cache is None else cache.snapshot()
-
-    def reset_shard_cache_stats(self) -> None:
-        cache = self._shard_cache
-        if cache is not None:
-            cache.stats.reset()
 
     def _search_shard_fenced(
         self, collection: str, shard_id: int, request: SearchRequest,
@@ -451,7 +419,7 @@ class Worker:
                         collection, shard_id, request, fingerprint, gens
                     )
                 )
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.searches_served += 1
             self.stats.queries_served += 1
             self.stats.search_seconds += monotonic() - t0
@@ -486,7 +454,7 @@ class Worker:
                     )
                     if shard_gens[shard_id] > gens.get(shard_id, -1):
                         gens[shard_id] = shard_gens[shard_id]
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.searches_served += 1
             self.stats.queries_served += len(requests)
             self.stats.search_seconds += monotonic() - t0
@@ -524,7 +492,7 @@ class Worker:
             if tracer.enabled else None,
         ):
             report = self._shard(collection, shard_id).build_index(kind)
-        with self._stats_lock:
+        with self.stats._lock:
             self.stats.build_seconds += monotonic() - t0
             for _, n in report.index_builds:
                 self.stats.index_builds.append((collection, shard_id, n))
@@ -572,7 +540,7 @@ class Worker:
         shard = self._shard(collection, shard_id)
         driver = self._maintenance.get((collection, shard_id))
         out = {"enabled": driver is not None}
-        out.update(shard.maint_stats)
+        out.update(shard.maint_stats.snapshot())
         if driver is not None:
             out["driver"] = driver.stats.snapshot()
         return out

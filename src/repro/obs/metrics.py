@@ -20,23 +20,30 @@ Snapshots (:class:`HistogramSnapshot`) are immutable, diffable
 (``minus``) and mergeable, which is what lets
 :class:`repro.core.telemetry.TelemetrySnapshot` carry them through its
 before/after ``diff`` protocol.
+
+:class:`Counters` is the same protocol for the subsystems' named counter
+sets (fan-out, ingest, failover, cache, …): one dataclass per set, one lock,
+and ``snapshot`` / ``reset`` / ``minus`` derived from the field list, so a
+counter's name is written once, where it is declared.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Iterable, Sequence
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "Counter",
+    "Counters",
     "Gauge",
     "Histogram",
     "HistogramSnapshot",
     "MetricsRegistry",
     "get_registry",
+    "gauge",
     "set_registry",
 ]
 
@@ -223,6 +230,70 @@ class HistogramSnapshot:
             bounds=bounds, counts=(0,) * (len(bounds) + 1),
             count=0, sum=0.0, min=0.0, max=0.0,
         )
+
+
+def gauge(default: Any = 0) -> Any:
+    """Declare a :class:`Counters` field that ``minus`` keeps at its later
+    value: a current level, a high-water mark or an identity, which a
+    before/after difference would misreport.  ``reset`` still restores it."""
+    return field(default=default, metadata={"gauge": True})
+
+
+class Counters:
+    """A named set of counters behind one lock.
+
+    Subclasses are dataclasses that declare their counters as fields and
+    update them in ``record_*`` methods under ``self._lock``; ``snapshot``,
+    ``reset`` and ``minus`` come from the field list.  A counter is an
+    ``int``/``float`` (subtracted), a ``dict`` of them (subtracted key by
+    key) or a ``list`` / ``tuple`` that only grows (``minus`` keeps the new
+    suffix); a field declared with :func:`gauge` keeps its later value.
+
+    ``snapshot`` and ``reset`` take the lock, so a concurrent ``record_*``
+    lands wholly before or wholly after them, never half-applied.
+    """
+
+    def __post_init__(self) -> None:
+        self._lock = threading.Lock()
+
+    def snapshot(self) -> dict:
+        """Consistent copy of every counter (containers copied)."""
+        with self._lock:
+            return {f.name: _copied(getattr(self, f.name)) for f in fields(self)}
+
+    def reset(self) -> None:
+        """Restore every field's declared default."""
+        with self._lock:
+            for f in fields(self):
+                setattr(self, f.name, f.default if f.default_factory is MISSING
+                        else f.default_factory())
+
+    def copy(self):
+        """A detached instance holding this set's current values."""
+        return type(self)(**self.snapshot())
+
+    def minus(self, earlier: "Counters"):
+        """What accumulated since ``earlier`` (gauges keep the later value)."""
+        now, before = self.snapshot(), earlier.snapshot()
+        return type(self)(**{
+            f.name: now[f.name] if f.metadata.get("gauge")
+            else _since(now[f.name], before[f.name])
+            for f in fields(self)
+        })
+
+
+def _copied(value):
+    if isinstance(value, (dict, list)):
+        return type(value)(value)
+    return value
+
+
+def _since(later, earlier):
+    if isinstance(later, dict):
+        return {k: v - earlier.get(k, 0) for k, v in later.items()}
+    if isinstance(later, (list, tuple)):
+        return later[len(earlier):]
+    return later - earlier
 
 
 class Histogram:

@@ -1,5 +1,7 @@
 """Telemetry aggregation tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core import (
     PointStruct,
     SearchRequest,
     VectorParams,
+    WalConfig,
 )
 from repro.core.cluster import Cluster
 from repro.core.telemetry import collect
@@ -132,3 +135,59 @@ class TestSaturationReproduction:
 
         _, utils = simulate_index_build_with_utilization(32)
         assert all(u > 0.9 for u in utils)
+
+
+#: ``WorkerTelemetry`` fields read from what the shards store — point and
+#: index sizes, and the lifetime counters of indexes, quantized segments and
+#: WALs.  No reset can zero a size; the lifetime counters are measured by
+#: ``diff`` (the HNSW ones are bumped lock-free on every hop).
+FROM_STORED_DATA = {
+    "points", "indexed_vectors", "distance_computations",
+    "wal_appends", "wal_flushes", "wal_bytes",
+    "quant_scans", "quant_scanned_codes", "quant_rescored",
+}
+
+
+class TestResetZeroesEveryCounter:
+    def test_every_counter_telemetry_reports_is_zero_after_reset(self, tmp_path):
+        cluster = Cluster.with_workers(2)
+        cluster.create_collection(
+            CollectionConfig(
+                "c", VectorParams(size=DIM, distance=Distance.COSINE),
+                optimizer=OptimizerConfig(indexing_threshold=32),
+                wal=WalConfig(enabled=True, path=str(tmp_path)),
+            )
+        )
+        cluster.enable_cache()
+        cluster.upsert("c", points(200))
+        cluster.delete("c", list(range(100)))
+        cluster.enable_maintenance("c")
+        cluster.drain_maintenance("c")
+        cluster.optimize("c")
+        for _ in range(2):
+            cluster.search("c", SearchRequest(vector=np.ones(DIM), limit=5))
+        before = cluster.telemetry()
+        assert before.total_maint_passes > 0
+
+        cluster.reset_telemetry()
+        snap = cluster.telemetry()
+        # A snapshot minus itself zeroes every counter and keeps every gauge:
+        # the reset snapshot must read the same.
+        zeroed = snap.diff(snap)
+        sets = [(w, zeroed.workers[wid], before.workers[wid])
+                for wid, w in snap.workers.items()]
+        sets += [(getattr(snap, part), getattr(zeroed, part), None)
+                 for part in ("fanout", "ingest", "failover", "coalesce", "cache", "reshard")]
+        for counters, expected, worker_before in sets:
+            for f in dataclasses.fields(counters):
+                value, want = getattr(counters, f.name), getattr(expected, f.name)
+                if worker_before is not None and f.name in FROM_STORED_DATA:
+                    assert value == getattr(worker_before, f.name)
+                else:
+                    assert value == want if want else not value, (
+                        f"{type(counters).__name__}.{f.name} = {value!r}"
+                    )
+        for shard in cluster.maintenance_stats("c").values():
+            assert not shard["passes"] and not shard["swaps"]
+            assert not any(shard["driver"].values())
+        cluster.disable_maintenance("c")
