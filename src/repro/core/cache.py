@@ -238,11 +238,14 @@ class ResultCache:
         return True
 
     def lookup(self, fingerprint: str, *, collection: str,
-               shard_set: frozenset) -> SearchResult | None:
+               shard_set: frozenset, count_miss: bool = True) -> SearchResult | None:
         """Serve a cached result, or ``None`` on miss/stale.
 
         A stale entry (failed fence) is removed on the spot and counted as
-        an invalidation plus a miss.
+        an invalidation plus a miss.  With ``count_miss=False`` — a probe
+        whose miss the caller's full read path looks up and counts again —
+        a miss leaves ``lookups`` / ``misses`` untouched, so each request
+        counts once; a hit and an invalidation still count.
         """
         stats = self.stats
         with self._lock:
@@ -256,6 +259,8 @@ class ResultCache:
                     stats.invalidations += 1
                 entry = None
             if entry is None:
+                if not count_miss:
+                    return None
                 with stats._lock:
                     stats.lookups += 1
                     stats.misses += 1

@@ -1187,6 +1187,48 @@ class Cluster:
             return list(range(state.plan.shard_number))
         return sorted(s for s in only_shards if 0 <= s < state.plan.shard_number)
 
+    def cached(self, name: str, request: SearchRequest) -> SearchResult | None:
+        """The result-cache stage alone, run in the caller's thread.
+
+        Returns the cached answer to ``request`` when a valid entry exists —
+        through the same fenced lookup :meth:`_serve` runs — and ``None``
+        otherwise (no cache, a miss, or no shard to cover), leaving the
+        caller to run a full read path.  That path looks the request up
+        again and counts the miss there, so this probe counts only a hit,
+        and each request lands once in ``cache.lookups`` and in the
+        ``cache.lookup_s`` histogram.  A hit observes ``cluster.query_s``
+        like any served query.  The query coalescer runs this before
+        admission, so a hit never queues.
+        """
+        cache = self.result_cache
+        if cache is None:
+            return None
+        t0 = monotonic()
+        name, state = self._resolve(name)
+        shard_ids = self._query_shards(state, self._predicated_shards(state, request))
+        if not shard_ids:
+            return None
+        result = self._cache_lookup(
+            cache, name, request.fingerprint(name), shard_ids, count_miss=False
+        )
+        if result is not None:
+            self._hist_query.observe(monotonic() - t0)
+        return result
+
+    def _cache_lookup(self, cache: ResultCache, name: str, fingerprint: str,
+                      shard_ids: list[int], *, count_miss: bool = True
+                      ) -> SearchResult | None:
+        """One fenced result-cache lookup, timed into ``cache.lookup_s``
+        whenever the cache counts it (see :meth:`ResultCache.lookup`)."""
+        t0 = monotonic()
+        result = cache.lookup(
+            fingerprint, collection=name, shard_set=frozenset(shard_ids),
+            count_miss=count_miss,
+        )
+        if result is not None or count_miss:
+            self._hist_cache_lookup.observe(monotonic() - t0)
+        return result
+
     def search(self, name: str, request: SearchRequest) -> SearchResult:
         """Broadcast–reduce distributed search (one query).
 
@@ -1309,7 +1351,9 @@ class Cluster:
         ``NoReplicaAvailableError`` a strict request would have raised — so
         a failed shard degrades only the callers whose shard set covers it
         and never poisons the batch.  Served through the result cache when
-        one is enabled, like :meth:`search`.
+        one is enabled, like :meth:`search`: the coalescer has already
+        served hits in the caller's thread (:meth:`cached`), and this lookup
+        catches a fill that landed while a miss was queued.
         """
         name, state = self._resolve(name)
         requests = list(requests)
@@ -1340,11 +1384,12 @@ class Cluster:
 
         Each request covers its own shard set (all shards, or the subset a
         predicate pins).  With a ``cache``, the collection's write epoch is
-        read *before* the lookups, so a write landing mid-flight refuses the
-        fill, and only the misses fan out — through the fenced RPCs, whose
-        per-shard generations feed the cache's staleness tracking and fence
-        each fill.  The misses share one fan-out over the union of their
-        shards: the single RPC for one miss, the batch RPC for several
+        read *before* the lookups (:meth:`_cache_lookup`, the one lookup
+        stage, which :meth:`cached` also runs), so a write landing mid-flight
+        refuses the fill, and only the misses fan out — through the fenced
+        RPCs, whose per-shard generations feed the cache's staleness tracking
+        and fence each fill.  The misses share one fan-out over the union of
+        their shards: the single RPC for one miss, the batch RPC for several
         (segments guarantee ``search_batch(qs)[i] == search(qs[i])`` bit for
         bit, so the choice changes no result).
 
@@ -1369,11 +1414,7 @@ class Cluster:
                 out[qi] = SearchResult([], shards_total=0)
                 continue
             if cache is not None:
-                t_lookup = monotonic()
-                out[qi] = cache.lookup(
-                    fingerprints[qi], collection=name, shard_set=frozenset(shard_ids)
-                )
-                self._hist_cache_lookup.observe(monotonic() - t_lookup)
+                out[qi] = self._cache_lookup(cache, name, fingerprints[qi], shard_ids)
             if out[qi] is None:
                 misses.append(qi)
         if not misses:

@@ -127,6 +127,13 @@ class HnswIndex:
         self._quantizer: ScalarQuantizer | None = None
         #: Quantized-traversal counters (aggregated by cluster telemetry).
         self.quant_stats = {"searches": 0, "rescored": 0}
+        # Process-wide quantizer metrics, bound once: a by-name registry
+        # lookup takes the registry's lock on every search.
+        registry = get_registry()
+        self._scan_counter = registry.counter("quant.scan")
+        self._scan_hist = registry.histogram("quant.scan_s")
+        self._rescore_counter = registry.counter("quant.rescore")
+        self._rescore_hist = registry.histogram("quant.rescore_s")
 
     # -- basic properties ---------------------------------------------------
 
@@ -580,10 +587,9 @@ class HnswIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Graph traversal over quantized codes, exact rescore of the final
         ``ef`` candidates (HAKES-style filter-on-compressed + refine)."""
-        registry = get_registry()
         qq = self._quantizer.encode_query(query)
         self.quant_stats["searches"] += 1
-        registry.counter("quant.scan").inc()
+        self._scan_counter.inc()
         t0 = time.perf_counter()
         kernel = self._code_kernel(qq)
         ep = self._entry_point
@@ -592,7 +598,7 @@ class HnswIndex:
         for layer in range(int(self._level[ep]), 0, -1):
             ep, ep_dist = self._greedy_step(query, ep, ep_dist, layer, kernel)
         results = self._search_layer(query, [(ep_dist, ep)], ef_eff, 0, predicate, kernel)
-        registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
+        self._scan_hist.observe(time.perf_counter() - t0)
         if not results:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float32)
         if rescore:
@@ -605,8 +611,8 @@ class HnswIndex:
                 [self._to_score(float(d)) for d in exact[order]], dtype=np.float32
             )
             self.quant_stats["rescored"] += int(offs.size)
-            registry.counter("quant.rescore").inc()
-            registry.histogram("quant.rescore_s").observe(time.perf_counter() - t0)
+            self._rescore_counter.inc()
+            self._rescore_hist.observe(time.perf_counter() - t0)
             return offsets, scores
         results.sort()
         results = results[:k]

@@ -10,13 +10,18 @@ request coalescing, HAKES' shared-scan/per-query-refine split): requests
 from independent callers are held for a tiny window, merged into one
 batch, executed through the shared fan-out, and demultiplexed.
 
-:class:`QueryCoalescer` implements that pipeline:
+:class:`QueryCoalescer` implements that pipeline, behind the result
+cache — the order is cache → coalescer → fan-out:
 
-* **admission** — :meth:`QueryCoalescer.submit` enqueues one query into a
-  bounded queue and returns a :class:`~concurrent.futures.Future`.  A full
-  queue (or a closed coalescer) returns ``None`` — backpressure: the
-  caller runs the direct :meth:`Cluster.search` path instead of blocking
-  unboundedly;
+* **cache stage** — :meth:`QueryCoalescer.submit` first runs
+  :meth:`Cluster.cached` in the caller's thread.  A hit returns at once as
+  an already-resolved future: coalescing amortizes a fan-out, and a hit
+  has none, so it pays no collector or dispatch hop;
+* **admission** — a miss is enqueued into a bounded queue and
+  :meth:`QueryCoalescer.submit` returns its
+  :class:`~concurrent.futures.Future`.  A full queue (or a closed
+  coalescer) returns ``None`` — backpressure: the caller runs the direct
+  :meth:`Cluster.search` path instead of blocking unboundedly;
 * **collection** — a collector thread drains the queue under a tunable
   policy (:class:`CoalescePolicy`): at most ``max_batch`` queries per
   batch, waiting at most ``max_wait_us`` for stragglers.  The window is
@@ -28,9 +33,11 @@ batch, executed through the shared fan-out, and demultiplexed.
   filter-shard signature) are merged, so a batch's predicated fan-out is
   exactly the fan-out each member would have run alone;
 * **execution / demux** — each batch runs through
-  :meth:`Cluster.search_batch_demux`, which shares one predicated fan-out
-  across the batch but applies **per-request** failover semantics: a
-  shard with no live replica degrades only the callers that cover it
+  :meth:`Cluster.search_batch_demux` (whose own cache lookup catches a
+  fill that landed while the miss was queued), which shares one
+  predicated fan-out across the batch but applies **per-request**
+  failover semantics: a shard with no live replica degrades only the
+  callers that cover it
   (``allow_partial=True`` callers get a flagged degraded result,
   ``allow_partial=False`` callers get ``NoReplicaAvailableError`` on
   their own future) and never poisons the rest of the batch.
@@ -121,7 +128,9 @@ class CoalesceStats(Counters):
     ``coalesced / batches`` is the mean batch width — the amortization
     factor achieved; ``solo_batches`` counts width-1 dispatches (idle
     traffic); ``bypasses`` counts queries refused at admission
-    (queue full or closed) that ran the direct path instead.
+    (queue full or closed) that ran the direct path instead.  A
+    result-cache hit served before admission is neither a batch member
+    nor a bypass: these counters see only misses.
     """
 
     batches: int = 0
@@ -132,6 +141,8 @@ class CoalesceStats(Counters):
     bypasses: int = 0
     #: Queries answered by another in-flight identical query (same canonical
     #: fingerprint) without executing — the in-flight dedupe at dispatch.
+    #: Repeats of a cached query are hits before admission, so this counts
+    #: concurrent identical misses only.
     deduped: int = 0
 
     @property
@@ -262,9 +273,17 @@ class QueryCoalescer:
     def submit(self, collection: str, request: SearchRequest) -> Future | None:
         """Admit one query; returns its future, or ``None`` on backpressure.
 
-        ``None`` means the queue is full (or the coalescer closed): the
-        caller must run the direct path — admission never blocks.
+        A result-cache hit (:meth:`Cluster.cached`, run here in the caller's
+        thread) comes back as an already-resolved future and never queues:
+        it has no fan-out to share.  ``None`` means the queue is full (or
+        the coalescer closed): the caller must run the direct path —
+        admission never blocks.
         """
+        hit = self.cluster.cached(collection, request)
+        if hit is not None:
+            future = Future()
+            future.set_result(hit)
+            return future
         key = self.compat_key(collection, request)
         pending = _Pending(key, collection, request)
         with self._wakeup:

@@ -59,6 +59,13 @@ class Segment:
         #: ``scans`` quantized first passes served, ``scanned_codes`` code
         #: rows scored in them, ``rescored`` candidates exact-rescored.
         self.quant_stats = {"scans": 0, "scanned_codes": 0, "rescored": 0}
+        # Process-wide quantizer metrics, bound once: a by-name registry
+        # lookup takes the registry's lock on every scan.
+        registry = get_registry()
+        self._scan_counter = registry.counter("quant.scan")
+        self._scan_hist = registry.histogram("quant.scan_s")
+        self._rescore_counter = registry.counter("quant.rescore")
+        self._rescore_hist = registry.histogram("quant.rescore_s")
 
     # -- introspection -------------------------------------------------------
 
@@ -476,9 +483,8 @@ class Segment:
             t0 = time.perf_counter()
             exact = distances.score_batch(self._arena.take(cand), query, self._distance)
             idx2, top = distances.top_k(exact, k, self._distance)
-            registry = get_registry()
-            registry.counter("quant.rescore").inc()
-            registry.histogram("quant.rescore_s").observe(time.perf_counter() - t0)
+            self._rescore_counter.inc()
+            self._rescore_hist.observe(time.perf_counter() - t0)
             self.quant_stats["rescored"] += int(cand.size)
             return cand[idx2], top
         return cand[:k], scores[idx][:k]
@@ -505,9 +511,8 @@ class Segment:
         qq = self._quantizer.encode_query(query)
         t0 = time.perf_counter()
         scores = self._quantizer.score_codes(codes, sums, sq, qq, self._distance)
-        registry = get_registry()
-        registry.counter("quant.scan").inc()
-        registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
+        self._scan_counter.inc()
+        self._scan_hist.observe(time.perf_counter() - t0)
         self.quant_stats["scans"] += 1
         self.quant_stats["scanned_codes"] += int(live.size)
         return self._quantized_refine(query, k, live, scores, rescore)
@@ -737,9 +742,8 @@ class Segment:
         score_list = self._quantizer.score_codes_batch(
             codes, sums, sq, qqs, self._distance
         )
-        registry = get_registry()
-        registry.counter("quant.scan").inc(len(qqs))
-        registry.histogram("quant.scan_s").observe(time.perf_counter() - t0)
+        self._scan_counter.inc(len(qqs))
+        self._scan_hist.observe(time.perf_counter() - t0)
         self.quant_stats["scans"] += len(qqs)
         self.quant_stats["scanned_codes"] += int(live.size) * len(qqs)
         out = []

@@ -1,7 +1,10 @@
 """Query coalescer tests: policy, stats, grouping, backpressure, shutdown,
-per-request failover demux (a failed shard must not poison the batch), and
-the bit-identity property coalesced == serial ``Cluster.search``."""
+per-request failover demux (a failed shard must not poison the batch),
+result-cache hits served before admission, and the bit-identity property
+coalesced == serial ``Cluster.search``."""
 
+import asyncio
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -454,6 +457,163 @@ class TestSearchBatchDemux:
         # One shared fan-out batch served both, despite the strict failure.
         assert co.stats.snapshot()["batches"] == 1
         assert co.stats.snapshot()["max_width"] == 2
+        cluster.close()
+
+
+class TestCacheBeforeAdmission:
+    """A result-cache hit is served in the caller's thread and never
+    queues; only misses reach the collector, and every request counts once
+    in the cache counters and histograms."""
+
+    @staticmethod
+    def cached_cluster():
+        cluster = make_cluster()
+        cluster.enable_cache()
+        return cluster
+
+    @staticmethod
+    def counts(cluster, co):
+        hists = cluster.metrics.snapshot_histograms()
+        cache = cluster.result_cache.stats.snapshot()
+        return {
+            "batches": co.stats.snapshot()["batches"],
+            "bypasses": co.stats.snapshot()["bypasses"],
+            "lookups": cache["lookups"],
+            "hits": cache["hits"],
+            "misses": cache["misses"],
+            "query_s": hists["cluster.query_s"].count,
+            "lookup_s": hists["cache.lookup_s"].count,
+        }
+
+    @classmethod
+    def delta(cls, cluster, co, before):
+        after = cls.counts(cluster, co)
+        return {k: after[k] - before[k] for k in after}
+
+    def test_hit_returns_while_dispatcher_blocked(self, monkeypatch):
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(cluster)
+        hot = SearchRequest(vector=queries(1)[0], limit=5)
+        want = cluster.search("papers", hot)  # fills the cache
+        entered, release = threading.Event(), threading.Event()
+        demux = cluster.search_batch_demux
+
+        def blocked(name, requests):
+            entered.set()
+            release.wait(timeout=30)
+            return demux(name, requests)
+
+        monkeypatch.setattr(cluster, "search_batch_demux", blocked)
+        caller = ThreadPoolExecutor(max_workers=1)
+        try:
+            miss = co.submit("papers", SearchRequest(vector=queries(1, seed=9)[0],
+                                                     limit=5))
+            assert entered.wait(timeout=10)  # the dispatcher is now stuck
+            # A queued hit would wait out the blocked dispatch and time out.
+            got = caller.submit(co.search, "papers", hot).result(timeout=5)
+            assert hit_keys(got) == hit_keys(want)
+            assert (got.shards_total, got.shards_answered) == (
+                want.shards_total, want.shards_answered
+            )
+            assert not miss.done()
+        finally:
+            release.set()
+            caller.shutdown(wait=True)
+        assert len(miss.result(timeout=10)) == 5
+        cluster.close()
+
+    def test_submit_returns_done_future_for_hit(self):
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(cluster)
+        hot = SearchRequest(vector=queries(1)[0], limit=5)
+        want = cluster.search("papers", hot)
+        future = co.submit("papers", hot)
+        assert future is not None and future.done()
+        assert hit_keys(future.result(timeout=0)) == hit_keys(want)
+        assert co.stats.snapshot()["batches"] == 0
+        cluster.close()
+
+    def test_async_client_serves_hit(self):
+        from repro.core.aioclient import AsyncClient
+
+        cluster = self.cached_cluster()
+        client = AsyncClient(cluster, "papers", coalesce=True)
+        q = queries(1)[0]
+        want = cluster.search("papers", SearchRequest(vector=q, limit=5))
+        before = self.counts(cluster, client.coalescer)
+        got = asyncio.run(client.search_async(q, limit=5))
+        assert hit_keys(got) == hit_keys(want)
+        delta = self.delta(cluster, client.coalescer, before)
+        assert delta["hits"] == 1 and delta["batches"] == 0
+        client.close()
+        cluster.close()
+
+    def test_repeats_after_one_fill_are_hits_not_batches(self):
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(cluster)
+        request = SearchRequest(vector=queries(1)[0], limit=5)
+        first = co.search("papers", request)  # the one fill
+        before = self.counts(cluster, co)
+        n = 5
+        for _ in range(n):
+            assert hit_keys(co.search("papers", request)) == hit_keys(first)
+        delta = self.delta(cluster, co, before)
+        assert delta["batches"] == 0
+        assert delta["hits"] == delta["lookups"] == n
+        assert delta["misses"] == 0
+        cluster.close()
+
+    def test_one_miss_counts_one_lookup_and_one_batch(self):
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(cluster)
+        before = self.counts(cluster, co)
+        co.search("papers", SearchRequest(vector=queries(1)[0], limit=5))
+        delta = self.delta(cluster, co, before)
+        assert delta["lookups"] == delta["misses"] == 1
+        assert delta["hits"] == 0
+        assert delta["batches"] == 1
+        cluster.close()
+
+    def test_full_queue_fallback_counts_one_lookup(self):
+        from repro.core.scheduler import _Pending
+
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(
+            cluster,
+            policy=CoalescePolicy(queue_capacity=1, max_wait_us=50_000.0,
+                                  adaptive=False),
+        )
+        stuffed_request = SearchRequest(vector=queries(1, seed=5)[0], limit=5)
+        stuffed = _Pending(co.compat_key("papers", stuffed_request), "papers",
+                           stuffed_request)
+        with co._wakeup:
+            co._queue.append(stuffed)
+        before = self.counts(cluster, co)
+        request = SearchRequest(vector=queries(1)[0], limit=5)
+        got = co.search("papers", request)  # probe misses, queue full, direct path
+        assert len(got) == 5
+        delta = self.delta(cluster, co, before)
+        assert delta["bypasses"] == 1
+        assert delta["lookups"] == delta["misses"] == 1
+        assert delta["hits"] == 0
+        with co._wakeup:
+            co._wakeup.notify()
+        assert stuffed.future.result(timeout=10) is not None
+        cluster.close()
+
+    def test_hit_observes_query_and_lookup_histograms_once(self):
+        cluster = self.cached_cluster()
+        co = QueryCoalescer.for_cluster(cluster)
+        request = SearchRequest(vector=queries(1)[0], limit=5)
+        before = self.counts(cluster, co)
+        co.search("papers", request)  # miss: served by the dispatch
+        miss = self.delta(cluster, co, before)
+        assert miss["query_s"] == 1 and miss["lookup_s"] == 1
+        before = self.counts(cluster, co)
+        co.search("papers", request)  # hit: served before admission
+        hit = self.delta(cluster, co, before)
+        assert hit["hits"] == 1 and hit["batches"] == 0
+        assert hit["query_s"] == 1 and hit["lookup_s"] == 1
         cluster.close()
 
 

@@ -30,7 +30,7 @@ from repro.core import (
 )
 from repro.core.batch import Batch
 from repro.core.cluster import Cluster
-from repro.core.scheduler import QueryCoalescer
+from repro.core.scheduler import CoalescePolicy, QueryCoalescer
 from repro.core.telemetry import collect
 from repro.core.transport import FaultInjectingTransport, LocalTransport
 from repro.core.worker import Worker
@@ -103,7 +103,11 @@ def scripted_run(wal_dir: str):
         shard_number=4, replication_factor=2,
     ))
     cluster.enable_cache()
-    coalescer = QueryCoalescer.for_cluster(cluster)
+    # A fixed window wide enough that four back-to-back submits share one
+    # batch (and so dedupe); the batch dispatches once it holds all four.
+    coalescer = QueryCoalescer.for_cluster(cluster, policy=CoalescePolicy(
+        max_batch=4, max_wait_us=5_000_000.0, adaptive=False,
+    ))
     checkpoints = [take(cluster)]
 
     # Writes, then cached, coalesced and deduped searches.
@@ -114,7 +118,10 @@ def scripted_run(wal_dir: str):
     for _ in range(2):
         for q in hot:
             cluster.search("c", SearchRequest(vector=q, limit=5))
-    futures = [coalescer.submit("c", SearchRequest(vector=hot[0], limit=5))
+    # A vector not searched yet: a cached one would be served before
+    # admission and never reach the coalescer.
+    fresh = queries(1, seed=7)[0]
+    futures = [coalescer.submit("c", SearchRequest(vector=fresh, limit=5))
                for _ in range(4)]
     for f in futures:
         assert f is not None and len(f.result(timeout=30)) == 5
