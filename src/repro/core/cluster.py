@@ -9,10 +9,13 @@ approach 1):
 * a non-predicated search is **broadcast** to all workers holding shards.
   As in Qdrant, the client contacts one *entry worker*, which fans the
   query out, gathers per-shard partial results, and **reduces** them into
-  the global top-k (footnote 4 of the paper).  The fan-out runs on a
-  thread pool (one transport call per worker, issued concurrently) so
-  per-worker latency overlaps instead of adding up — the behaviour the
-  paper's broadcast–reduce model assumes.  Results are gathered in
+  the global top-k (footnote 4 of the paper).  Over a transport whose
+  calls wait (a network, injected latency) the fan-out runs on a thread
+  pool (one transport call per worker, issued concurrently) so per-worker
+  latency overlaps instead of adding up — the behaviour the paper's
+  broadcast–reduce model assumes.  Over an in-process transport a call
+  never waits, so the lanes run inline on the calling thread, where a
+  pool would add only thread handoffs.  Results are gathered in
   submission order, so the reduce sees exactly what a serial loop would;
 * adding/removing workers triggers shard **rebalancing** — the expensive
   data movement §2.2 attributes to stateful designs;
@@ -81,6 +84,10 @@ __all__ = ["Cluster", "ClusterCollectionState", "FanoutStats", "IngestStats"]
 #: segment, collection and resharding code that records them cannot know
 #: which cluster owns it.
 GLOBAL_HISTOGRAM_PREFIXES = ("quant.", "maint.", "reshard.")
+
+#: Size of the fan-out pool when ``max_fanout_threads`` is None/0: one
+#: thread per contacted worker up to this many (threads start on demand).
+FANOUT_POOL_CAP = 32
 
 
 @dataclass
@@ -206,7 +213,11 @@ class Cluster:
         # unique ticks without a lock — the bare ``+= 1`` it replaces was
         # racy under concurrent clients.
         self._rr_counter = itertools.count()
-        #: 1 = serial fan-out; ``None``/0 = one thread per contacted worker.
+        #: Fan-out lanes run inline on the calling thread when the transport
+        #: does not wait (``Transport.waits``, false for ``LocalTransport``).
+        #: Over a waiting transport they run on one shared pool of
+        #: ``max_fanout_threads`` threads: 1 = serial, ``None``/0 = up to
+        #: ``FANOUT_POOL_CAP``.  Threads start on demand, on first use.
         self.max_fanout_threads = max_fanout_threads
         self.fanout_stats = FanoutStats()
         self.ingest_stats = IngestStats()
@@ -227,7 +238,7 @@ class Cluster:
         if self.health.stats is None:
             self.health.stats = self.failover_stats
         self._executor: ThreadPoolExecutor | None = None
-        self._executor_width = 0
+        self._pools_lock = threading.Lock()
         # Separate pool used only to bound call wall time when the retry
         # policy sets ``timeout_s`` (an abandoned call keeps its thread
         # until the transport returns, as with a real socket timeout).
@@ -255,22 +266,17 @@ class Cluster:
 
     # -- fan-out --------------------------------------------------------------
 
-    def _fanout_width(self, n_calls: int) -> int:
-        limit = self.max_fanout_threads
-        if limit is None or limit == 0:
-            return n_calls
-        return max(1, min(limit, n_calls))
-
-    def _fanout_pool(self, width: int) -> ThreadPoolExecutor:
-        """Persistent broadcast pool, grown on demand."""
-        if self._executor is None or self._executor_width < width:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self._executor = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="fanout"
-            )
-            self._executor_width = width
-        return self._executor
+    def _fanout_pool(self) -> ThreadPoolExecutor:
+        """The one broadcast pool: created on first use, sized once, and
+        shut down only by :meth:`close`, so a thread that fetched it can
+        always submit."""
+        with self._pools_lock:
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.max_fanout_threads or FANOUT_POOL_CAP,
+                    thread_name_prefix="fanout",
+                )
+            return self._executor
 
     # -- failure-aware transport calls ---------------------------------------
 
@@ -279,10 +285,11 @@ class Cluster:
         timeout = self.retry_policy.timeout_s
         if timeout is None:
             return self.transport.call(worker_id, method, *args, **kwargs)
-        if self._timeout_pool is None:
-            self._timeout_pool = ThreadPoolExecutor(
-                max_workers=32, thread_name_prefix="call-timeout"
-            )
+        with self._pools_lock:
+            if self._timeout_pool is None:
+                self._timeout_pool = ThreadPoolExecutor(
+                    max_workers=32, thread_name_prefix="call-timeout"
+                )
         future = self._timeout_pool.submit(
             self.transport.call, worker_id, method, *args, **kwargs
         )
@@ -329,8 +336,8 @@ class Cluster:
 
         ``ctx`` is the submitting thread's trace context: fan-out pool
         threads have an empty span stack, so the rpc span re-parents under
-        it explicitly (``activate(None)`` is a no-op on the serial path,
-        where thread-local nesting already works).
+        it explicitly.  An inline lane re-activates the context it already
+        runs under, which changes nothing (``activate(None)`` is a no-op).
         """
         tracer = get_tracer()
         t0 = monotonic()
@@ -347,19 +354,23 @@ class Cluster:
             self._hist_rpc.observe(elapsed)
 
     def _fan_out(self, tasks: Sequence, run, *, calls: int | None = None) -> list:
-        """Run ``run(task, ctx)`` for every task, concurrently when allowed.
+        """Run ``run(task, ctx)`` for every task, concurrently when it pays.
 
-        ``ctx`` is the submitting thread's trace context, so work on pool
-        threads re-parents under the one ``cluster.fanout`` span.  Results
-        come back in submission order regardless of completion order, so
-        every reducer sees exactly what a serial loop would produce.
-        ``calls`` is the number of transport calls the tasks issue when it
-        is not one per task (a write's replica chain issues several).
+        Lanes run on the fan-out pool only when the transport waits and
+        ``max_fanout_threads`` allows more than one; otherwise they run
+        inline, in order, on the calling thread.  ``ctx`` is the submitting
+        thread's trace context, so work on pool threads re-parents under
+        the one ``cluster.fanout`` span.  Results come back in submission
+        order regardless of completion order, so every reducer sees exactly
+        what a serial loop would produce.  ``calls`` is the number of
+        transport calls the tasks issue when it is not one per task (a
+        write's replica chain issues several).
         """
         if not tasks:
             return []
         tracer = get_tracer()
-        width = self._fanout_width(len(tasks))
+        limit = self.max_fanout_threads or FANOUT_POOL_CAP
+        width = min(limit, len(tasks)) if self.transport.waits else 1
         calls = len(tasks) if calls is None else calls
         t0 = monotonic()
         with tracer.span(
@@ -371,7 +382,7 @@ class Cluster:
             if width <= 1:
                 results = [run(task, ctx) for task in tasks]
             else:
-                pool = self._fanout_pool(width)
+                pool = self._fanout_pool()
                 futures = [pool.submit(run, task, ctx) for task in tasks]
                 results = [f.result() for f in futures]
         self.fanout_stats.record_fanout(len(tasks), monotonic() - t0, calls=calls)
@@ -699,13 +710,13 @@ class Cluster:
             for driver in list(getattr(worker, "_maintenance", {}).values()):
                 driver.stop()
             getattr(worker, "_maintenance", {}).clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-            self._executor_width = 0
-        if self._timeout_pool is not None:
-            self._timeout_pool.shutdown(wait=False)
-            self._timeout_pool = None
+        with self._pools_lock:
+            executor, self._executor = self._executor, None
+            timeout_pool, self._timeout_pool = self._timeout_pool, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+        if timeout_pool is not None:
+            timeout_pool.shutdown(wait=False)
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:

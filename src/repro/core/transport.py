@@ -219,6 +219,18 @@ def estimate_payload_bytes(obj: Any) -> int:
 class Transport:
     """Abstract worker transport."""
 
+    @property
+    def waits(self) -> bool:
+        """Whether a call may block on something other than this process's
+        CPU (a socket, a sleep, another process).
+
+        The cluster runs fan-out lanes on a thread pool only when this is
+        true: overlapping lanes hides waiting, while lanes that only
+        compute in-process gain nothing from threads but GIL handoffs.
+        Unknown transports answer ``True`` and keep parallel lanes.
+        """
+        return True
+
     def call(self, worker_id: str, method: str, *args, **kwargs):
         raise NotImplementedError
 
@@ -232,6 +244,10 @@ class LocalTransport(Transport):
     def __init__(self):
         self._workers: dict[str, Any] = {}
         self._lock = threading.Lock()
+
+    @property
+    def waits(self) -> bool:
+        return False  # a call is a direct method call on this thread
 
     def register(self, worker_id: str, worker: Any) -> None:
         with self._lock:
@@ -294,6 +310,10 @@ class InstrumentedTransport(Transport):
         # thread-pool fan-out; the latency sleep stays outside it so
         # concurrent calls still overlap.
         self.stats = TransportStats()
+
+    @property
+    def waits(self) -> bool:
+        return self.latency_s > 0 or self.inner.waits
 
     def is_reachable(self, worker_id: str) -> bool:
         return self.inner.is_reachable(worker_id)
@@ -371,6 +391,10 @@ class FaultInjectingTransport(Transport):
                 self.delays.pop(worker_id, None)
             else:
                 self.delays[worker_id] = seconds
+
+    @property
+    def waits(self) -> bool:
+        return bool(self.delays) or self.inner.waits
 
     def is_reachable(self, worker_id: str) -> bool:
         with self._lock:

@@ -22,9 +22,11 @@ Design constraints, in order:
    hot query path within the ≤5 % overhead budget.
 2. **Thread-local context.**  The current span stack lives in a
    ``threading.local``; nesting works without any plumbing inside one
-   thread.  Crossing the cluster's fan-out pools is explicit: the
-   submitting thread captures :meth:`Tracer.current_context` and the pool
-   thread re-parents under it with :meth:`Tracer.activate`.
+   thread, which covers fan-out lanes the cluster runs inline over an
+   in-process transport.  Crossing the cluster's fan-out pool (used where
+   transport calls wait) is explicit: the submitting thread captures
+   :meth:`Tracer.current_context` and the pool thread re-parents under it
+   with :meth:`Tracer.activate`.
 3. **Process boundaries degrade, never crash.**  A context serialized with
    :meth:`TraceContext.to_wire` can be handed to a worker process;
    :meth:`Tracer.continue_trace` starts a fresh process-local root span

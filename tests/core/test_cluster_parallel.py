@@ -3,8 +3,14 @@
 Results of ``Cluster.search`` / ``search_batch`` / ``build_index`` are
 asserted bit-identical between a serial fan-out (``max_fanout_threads=1``)
 and the default parallel one, and the fan-out telemetry and predicated
-batch routing are checked.
+batch routing are checked.  The parallel side runs over a transport whose
+calls wait, since over an in-process transport the lanes run inline; where
+lanes run, and the one shared pool, are checked at the end.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,11 +25,15 @@ from repro.core import (
     SearchRequest,
     VectorParams,
 )
-from repro.core.cluster import Cluster
+from repro.core.cluster import FANOUT_POOL_CAP, Cluster
 from repro.core.transport import InstrumentedTransport, LocalTransport
+from repro.obs.trace import Tracer, set_tracer
 
 DIM = 16
 N = 400
+#: Per-call latency of the parallel side's transport: enough to make it a
+#: waiting transport (lanes go to the pool), small enough to keep tests fast.
+LATENCY_S = 1e-4
 
 
 def make_points():
@@ -35,10 +45,8 @@ def make_points():
     ]
 
 
-def make_cluster(max_fanout_threads=None, *, instrument=False, indexed=True):
-    transport = (
-        InstrumentedTransport(LocalTransport()) if instrument else None
-    )
+def new_cluster(transport=None, *, max_fanout_threads=None):
+    """Four workers and an empty collection ``dist``."""
     cluster = Cluster.with_workers(
         4, transport=transport, max_fanout_threads=max_fanout_threads
     )
@@ -49,6 +57,19 @@ def make_cluster(max_fanout_threads=None, *, instrument=False, indexed=True):
             optimizer=OptimizerConfig(indexing_threshold=0),
         )
     )
+    return cluster
+
+
+def make_cluster(max_fanout_threads=None, *, instrument=False, indexed=True):
+    """``max_fanout_threads=1`` is the serial reference.  Any other width runs
+    over a waiting transport, so its lanes really go to the pool."""
+    if max_fanout_threads != 1:
+        transport = InstrumentedTransport(LocalTransport(), latency_s=LATENCY_S)
+    elif instrument:
+        transport = InstrumentedTransport(LocalTransport())
+    else:
+        transport = None
+    cluster = new_cluster(transport, max_fanout_threads=max_fanout_threads)
     cluster.upsert("dist", make_points())
     if indexed:
         cluster.build_index("dist")
@@ -190,3 +211,105 @@ class TestFanoutWidthKnob:
         assert [hit_keys(h) for h in cluster.search_batch("dist", reqs)] == [
             hit_keys(h) for h in expected.search_batch("dist", reqs)
         ]
+
+
+def fanout_threads(exclude=()):
+    return [
+        t for t in threading.enumerate()
+        if t.name.startswith("fanout") and t not in exclude
+    ]
+
+
+class TestWhereLanesRun:
+    def test_in_process_lanes_run_on_the_calling_thread(self):
+        before = set(threading.enumerate())
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            cluster = new_cluster()
+            cluster.upsert("dist", make_points())
+            cluster.build_index("dist")
+            cluster.search("dist", SearchRequest(vector=queries()[0], limit=5))
+            cluster.search_batch(
+                "dist", [SearchRequest(vector=v, limit=5) for v in queries(3)]
+            )
+        finally:
+            set_tracer(previous)
+        rpcs = [r for r in tracer.spans() if r.name.startswith("rpc.")]
+        assert {r.name for r in rpcs} >= {
+            "rpc.upsert", "rpc.build_index", "rpc.search", "rpc.search_batch"
+        }
+        assert {r.thread for r in rpcs} == {threading.current_thread().name}
+        assert cluster._executor is None
+        assert fanout_threads(exclude=before) == []
+        assert cluster.fanout_stats.mean_width > 1  # width counts lanes
+
+    @pytest.mark.slow
+    def test_waiting_transport_overlaps_lanes(self):
+        latency = 0.05
+        cluster = new_cluster(
+            InstrumentedTransport(LocalTransport(), latency_s=latency)
+        )
+        cluster.upsert("dist", make_points())
+        req = SearchRequest(vector=queries()[0], limit=5)
+        t0 = time.perf_counter()
+        hits = cluster.search("dist", req)
+        wall = time.perf_counter() - t0
+        assert len(hits) == 5
+        assert cluster.fanout_stats.max_width == 4
+        # Four 50 ms calls in series would take 200 ms.
+        assert wall < 2 * latency
+        cluster.close()
+
+    def test_one_pool_never_regrows(self):
+        cluster = make_cluster(3, indexed=False)
+        pool = cluster._fanout_pool()
+        assert pool._max_workers == 3
+        cluster.search("dist", SearchRequest(vector=queries()[0], limit=5))
+        assert cluster._fanout_pool() is pool
+        assert pool.submit(lambda: 7).result() == 7
+        cluster.close()
+        default = make_cluster(None, indexed=False)
+        assert default._fanout_pool()._max_workers == FANOUT_POOL_CAP
+        default.close()
+
+    def test_concurrent_fan_outs_of_mixed_width_never_raise(self):
+        before = set(threading.enumerate())
+        cluster = make_cluster(None)
+        state = cluster._state("dist")
+        shard0 = [pid for pid in range(N) if state.router.shard_for(pid) == 0]
+        points = make_points()
+        errors: list[BaseException] = []
+        start = threading.Barrier(4)
+
+        def client(i: int) -> None:
+            try:
+                start.wait()
+                for j, v in enumerate(queries(6, seed=i)):
+                    if (i + j) % 3 == 0:  # one lane
+                        req = SearchRequest(
+                            vector=v, limit=3, filter=Filter(must=[HasId(shard0)])
+                        )
+                        cluster.search("dist", req)
+                    elif (i + j) % 3 == 1:  # four lanes
+                        cluster.search("dist", SearchRequest(vector=v, limit=3))
+                    else:  # one to four shards
+                        cluster.upsert("dist", points[j : j + 1 + i])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        clients = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more interleavings per run
+        try:
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in clients)
+        assert errors == []
+        assert cluster._executor is not None
+        cluster.close()
+        assert fanout_threads(exclude=before) == []

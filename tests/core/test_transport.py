@@ -8,6 +8,7 @@ from repro.core.transport import (
     FaultInjectingTransport,
     InstrumentedTransport,
     LocalTransport,
+    Transport,
     estimate_payload_bytes,
 )
 
@@ -183,3 +184,26 @@ class TestFaultInjection:
     def test_fail_every_must_be_ge_2(self):
         with pytest.raises(ValueError):
             FaultInjectingTransport(LocalTransport(), fail_every=1)
+
+
+class TestWaits:
+    def test_in_process_transport_does_not_wait(self):
+        assert not LocalTransport().waits
+        assert Transport().waits  # unknown transports keep parallel lanes
+
+    def test_instrumented_waits_with_latency_or_a_waiting_inner(self):
+        local = LocalTransport()
+        assert not InstrumentedTransport(local).waits
+        assert InstrumentedTransport(local, latency_s=0.01).waits
+        assert InstrumentedTransport(Transport()).waits
+
+    def test_fault_injection_delay_turns_waiting_on_and_off(self):
+        faulty = FaultInjectingTransport(LocalTransport())
+        wrapped = InstrumentedTransport(faulty)
+        assert not faulty.waits and not wrapped.waits
+        faulty.set_delay("w0", 0.01)
+        assert faulty.waits and wrapped.waits
+        faulty.set_delay("w0", None)
+        assert not faulty.waits and not wrapped.waits
+        slow = InstrumentedTransport(LocalTransport(), latency_s=0.01)
+        assert FaultInjectingTransport(slow).waits
