@@ -162,10 +162,10 @@ class IngestStats(Counters):
         return 0.0 if self.wall_seconds <= 0 else self.bytes / self.wall_seconds
 
     def record_write(
-        self, *, points: int, nbytes: int, width: int, wall: float, op: str = "upsert"
+        self, *, points: int, nbytes: int, width: int, wall: float, delete: bool = False
     ) -> None:
         with self._lock:
-            if op == "delete":
+            if delete:
                 self.deletes += 1
             else:
                 self.upserts += 1
@@ -483,15 +483,15 @@ class Cluster:
         )
         return UpdateResult(max(r.operation_id for r in results), status)
 
-    def _gated_write(self, name: str, state, shard_ids, make_calls):
+    def _gated_write(self, name: str, state, method: str, shard_args: Mapping[int, tuple]):
         """Build and run one write fan-out under the migration write gates.
 
         Gates are entered BEFORE the placement plan is read: the fenced
         cutover swaps holder sets with no writer in flight, so a gated
         writer always sees either the old or the new replica chain, whole.
-        ``make_calls(shard_id, holders)`` builds the per-replica transport
-        calls for one shard; ``holders`` already includes the double-write
-        target when the shard is mid-cutover.
+        Each holder of shard ``s`` gets ``method(name, s, *shard_args[s])``;
+        the holders include the double-write target when the shard is
+        mid-cutover.
 
         A writer that read the migration registry *before* a move
         registered can still land on the source after the move finished and
@@ -503,9 +503,12 @@ class Cluster:
         refused shards retry (a stale chain applied nothing, so re-issuing
         it cannot double-apply), never shards that already acknowledged.
 
+        The result cache is fenced on every attempt, failed ones too: a
+        shard may have applied before another shard refused.
+
         Returns ``(results, fanout_width)``.
         """
-        pending = sorted(shard_ids)
+        pending = sorted(shard_args)
         width = len(pending)
         done: dict[int, Any] = {}
         last: CollectionNotFoundError | None = None
@@ -520,7 +523,8 @@ class Cluster:
                         target = extra.get(shard_id)
                         if target is not None and target not in holders:
                             holders.append(target)  # double-write to move target
-                        tasks.append((shard_id, make_calls(shard_id, holders)))
+                        call = (method, name, shard_id, *shard_args[shard_id])
+                        tasks.append((shard_id, [(w, *call) for w in holders]))
                     # One pool task per shard: shards are independent, while
                     # each shard's replica chain stays serial for ordering.
                     outcomes = self._fan_out(
@@ -542,6 +546,7 @@ class Cluster:
             raise last
         finally:
             self._exit_write_ticket(ticket)
+            self._bump_cache_epoch(name)
 
     def _enter_write_ticket(self) -> int:
         with self._inflight_cv:
@@ -691,7 +696,7 @@ class Cluster:
                 continue
 
     def _bump_cache_epoch(self, name: str) -> None:
-        """Fence the result cache after one cluster-level mutation."""
+        """Fence the result cache after one cluster-level mutation attempt."""
         cache = self.result_cache
         if cache is not None:
             cache.bump_epoch(name)
@@ -905,6 +910,25 @@ class Cluster:
 
     # -- writes ---------------------------------------------------------------------------
 
+    def _routed_write(self, span: str, name: str, state, method: str,
+                      shard_args: Mapping[int, tuple], *, points: int, nbytes: int,
+                      delete: bool = False, **attrs) -> UpdateResult:
+        """One :meth:`_gated_write` under ``span``, counted in the ingest stats."""
+        tracer = get_tracer()
+        t0 = monotonic()
+        with tracer.span(
+            span,
+            {"collection": name, "points": points, **attrs} if tracer.enabled else None,
+        ):
+            results, width = self._gated_write(name, state, method, shard_args)
+        wall = monotonic() - t0
+        self.ingest_stats.record_write(
+            points=points, nbytes=nbytes, width=width, wall=wall, delete=delete
+        )
+        if not delete:
+            self._hist_upsert.observe(wall)
+        return self._aggregate_update(results)
+
     def upsert(self, name: str, points: Sequence[PointStruct]) -> UpdateResult:
         """Route points to their shards and write every shard in parallel.
 
@@ -914,36 +938,13 @@ class Cluster:
         """
         name, state = self._resolve(name)
         points = list(points)
-        by_shard = state.router.partition([p.id for p in points])
         by_id = {p.id: p for p in points}
-        tracer = get_tracer()
-        t0 = monotonic()
-
-        def make_calls(shard_id: int, holders: list[str]) -> list[tuple]:
-            shard_points = [by_id[pid] for pid in by_shard[shard_id]]
-            return [
-                (worker_id, "upsert", name, shard_id, shard_points)
-                for worker_id in holders
-            ]
-
-        with tracer.span(
-            "cluster.upsert",
-            {"collection": name, "points": len(points)}
-            if tracer.enabled else None,
-        ):
-            results, width = self._gated_write(
-                name, state, by_shard.keys(), make_calls
-            )
-        wall = monotonic() - t0
-        self.ingest_stats.record_write(
-            points=len(points),
-            nbytes=sum(p.as_array().nbytes for p in points),
-            width=width,
-            wall=wall,
+        by_shard = state.router.partition([p.id for p in points])
+        return self._routed_write(
+            "cluster.upsert", name, state, "upsert",
+            {shard_id: ([by_id[pid] for pid in ids],) for shard_id, ids in by_shard.items()},
+            points=len(points), nbytes=sum(p.as_array().nbytes for p in points),
         )
-        self._hist_upsert.observe(wall)
-        self._bump_cache_epoch(name)
-        return self._aggregate_update(results)
 
     def upsert_columnar(self, name: str, batch) -> UpdateResult:
         """Columnar upsert: vectorized shard routing, parallel shard fan-out.
@@ -953,79 +954,30 @@ class Cluster:
         """
         name, state = self._resolve(name)
         sub_batches = batch.split(state.router.partition_rows(batch.ids))
-        tracer = get_tracer()
-        t0 = monotonic()
-
-        def make_calls(shard_id: int, holders: list[str]) -> list[tuple]:
-            return [
-                (worker_id, "upsert_columnar", name, shard_id, sub_batches[shard_id])
-                for worker_id in holders
-            ]
-
-        with tracer.span(
-            "cluster.upsert",
-            {"collection": name, "points": len(batch), "columnar": True}
-            if tracer.enabled else None,
-        ):
-            results, width = self._gated_write(
-                name, state, sub_batches.keys(), make_calls
-            )
-        wall = monotonic() - t0
-        self.ingest_stats.record_write(
-            points=len(batch),
-            nbytes=batch.nbytes,
-            width=width,
-            wall=wall,
+        return self._routed_write(
+            "cluster.upsert", name, state, "upsert_columnar",
+            {shard_id: (sub,) for shard_id, sub in sub_batches.items()},
+            points=len(batch), nbytes=batch.nbytes, columnar=True,
         )
-        self._hist_upsert.observe(wall)
-        self._bump_cache_epoch(name)
-        return self._aggregate_update(results)
 
     def delete(self, name: str, point_ids: Sequence[PointId]) -> UpdateResult:
         name, state = self._resolve(name)
         point_ids = list(point_ids)
         by_shard = state.router.partition(point_ids)
-        tracer = get_tracer()
-        t0 = monotonic()
-
-        def make_calls(shard_id: int, holders: list[str]) -> list[tuple]:
-            return [
-                (worker_id, "delete", name, shard_id, by_shard[shard_id])
-                for worker_id in holders
-            ]
-
-        with tracer.span(
-            "cluster.delete",
-            {"collection": name, "points": len(point_ids)}
-            if tracer.enabled else None,
-        ):
-            results, width = self._gated_write(
-                name, state, by_shard.keys(), make_calls
-            )
-        self.ingest_stats.record_write(
-            points=len(point_ids),
-            nbytes=0,
-            width=width,
-            wall=monotonic() - t0,
-            op="delete",
+        return self._routed_write(
+            "cluster.delete", name, state, "delete",
+            {shard_id: (ids,) for shard_id, ids in by_shard.items()},
+            points=len(point_ids), nbytes=0, delete=True,
         )
-        self._bump_cache_epoch(name)
-        return self._aggregate_update(results)
 
     def set_payload(
         self, name: str, point_id: PointId, payload: Mapping[str, Any] | None
     ) -> UpdateResult:
         name, state = self._resolve(name)
         shard_id = state.router.shard_for(point_id)
-
-        def make_calls(sid: int, holders: list[str]) -> list[tuple]:
-            return [
-                (worker_id, "set_payload", name, sid, point_id, payload)
-                for worker_id in holders
-            ]
-
-        results, _ = self._gated_write(name, state, (shard_id,), make_calls)
-        self._bump_cache_epoch(name)
+        results, _ = self._gated_write(
+            name, state, "set_payload", {shard_id: (point_id, payload)}
+        )
         return self._aggregate_update(results)
 
     # -- reads -------------------------------------------------------------------------------

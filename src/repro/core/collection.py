@@ -5,8 +5,10 @@ a :class:`~repro.core.optimizer.SegmentOptimizer` and an optional WAL.  A
 standalone collection is what a single Qdrant worker serves for one shard;
 the cluster layer (:mod:`repro.core.cluster`) composes many of them.
 
-Write path: operations are logged to the WAL (when enabled), applied to the
-current appendable segment, and the optimizer runs opportunistically.  With
+Write path: an operation is validated whole, logged once — the WAL appends
+its :mod:`~repro.core.ops` record and every open journal keeps the same
+record — applied to the current appendable segment, and the optimizer runs
+opportunistically.  With
 ``indexing_threshold=0`` (bulk mode, §3.3) segments stay plain until
 :meth:`build_index` is called explicitly, which seals all appendable
 segments and builds one HNSW per segment — the "complete index rebuild" the
@@ -27,6 +29,17 @@ from ..obs.metrics import Counters, get_registry
 from ..obs.trace import get_tracer
 from .errors import CollectionNotFoundError, MaintenanceConflictError, PointNotFoundError
 from .filters import Condition
+from .ops import (
+    Delete,
+    Op,
+    PayloadIndex,
+    SetPayload,
+    Upsert,
+    from_wal,
+    own_payload,
+    point_count,
+    replay,
+)
 from .optimizer import (
     MaintenancePlan,
     OptimizerReport,
@@ -95,16 +108,15 @@ class MigrationState:
     ``pins`` freezes each segment's live offset array at begin time — the
     chunk cursor walks this flattened row space, so the bulk copy is a
     consistent snapshot no matter what writers do meanwhile.  ``journal``
-    captures every mutation that lands after the pin; the coordinator
+    keeps the record of every op that lands after the pin; the coordinator
     drains and replays it on the target in O(mutations).
     """
 
     pins: list[tuple]          # [(segment, live_offsets ndarray), ...]
     starts: list[int]          # flattened start row of each pinned segment
     rows_total: int
-    journal: list[tuple]
+    journal: list[Op]
     rows_exported: int = 0
-    drained: int = 0
 
 
 @dataclass
@@ -124,7 +136,8 @@ class MaintenanceSnapshot:
 class SwapStats(Counters):
     """Copy-on-write swap-protocol counters of one collection: committed
     maintenance passes, passes whose swap changed segment state, and
-    journaled mid-pass mutations reconciled at swap time."""
+    mid-pass point mutations re-imposed on replacement segments at swap
+    time."""
 
     passes: int = 0
     swaps: int = 0
@@ -165,9 +178,9 @@ class Collection:
         self._generation = 0
         self._maint_mutex = threading.Lock()
         self._maint_active: MaintenanceSnapshot | None = None
-        #: Ordered mid-pass mutations against pinned segments, replayed
-        #: onto replacement segments at swap time; None outside a pass.
-        self._maint_journal: list[tuple] | None = None
+        #: Ordered records of the ops written mid-pass, replayed onto the
+        #: replacement segments at swap time; None outside a pass.
+        self._maint_journal: list[Op] | None = None
         #: segment_ids frozen into the active snapshot — the write path
         #: never appends to these while a pass is in flight.
         self._maint_pinned: set[int] = set()
@@ -194,41 +207,9 @@ class Collection:
                 flush_every_n=config.wal.flush_every_n,
                 flush_interval_s=config.wal.flush_interval_s,
             )
-            self._replay_wal()
+            replay(from_wal(self._wal.replay()), _Apply(self))
 
     # -- WAL -------------------------------------------------------------------
-
-    def _replay_wal(self) -> None:
-        assert self._wal is not None
-        for record in self._wal.replay():
-            if record.op == "upsert":
-                points = [
-                    PointStruct(id=pid, vector=np.asarray(vec, dtype=np.float32), payload=pl)
-                    for pid, vec, pl in record.data
-                ]
-                self._apply_upsert(points)
-            elif record.op == "upsert_columnar":
-                ids, vectors, payloads = record.data
-                self._apply_upsert_arrays(
-                    ids,
-                    np.asarray(vectors, dtype=np.float32),
-                    payloads if payloads is not None else [None] * len(ids),
-                )
-            elif record.op == "delete":
-                for pid in record.data:
-                    self._apply_delete(pid)
-            elif record.op == "set_payload":
-                pid, payload = record.data
-                self._apply_set_payload(pid, payload)
-
-    def _log(self, op: str, data) -> None:
-        if self._wal is not None:
-            self._wal.append(op, data)
-
-    def _log_columnar(self, ids, vectors, payloads) -> None:
-        """Log an upsert as one columnar record: raw buffers, no tolist()."""
-        if self._wal is not None:
-            self._wal.append_columnar(ids, vectors, payloads)
 
     def flush_wal(self) -> None:
         """Force out any group-commit buffered WAL records."""
@@ -289,7 +270,7 @@ class Collection:
         """Monotonic mutation epoch used for cache fencing.
 
         Advances on every state change that can alter search results: each
-        mutating operation (upsert / delete / set_payload), every maintenance
+        mutating operation (before and after its body), every maintenance
         swap (inline or fenced copy-on-write), and the reshard cutover that
         retires the shard.  A search result computed at generation ``g`` is
         valid exactly as long as ``generation == g`` still holds.
@@ -315,209 +296,132 @@ class Collection:
         for pid in ids:
             id_map[pid] = segment
 
-    def _rebuild_id_map(self) -> None:
-        """Recompute the id -> segment map after segments merge or vacuum."""
-        id_map: dict[PointId, Segment] = {}
-        for seg in self._segments:
-            for pid in seg.point_ids():
-                id_map[pid] = seg
-        self._id_to_segment = id_map
-
-    def _apply_upsert(self, points: Sequence[PointStruct]) -> None:
-        # An id may already live in an older (possibly sealed) segment; a
-        # re-upsert there must tombstone the old copy first.  The id map
-        # locates the owner directly — no per-point scan over segments.
-        fresh: list[PointStruct] = []
-        target = self._appendable_segment()
-        for p in points:
-            owner = self._id_to_segment.get(p.id)
-            if owner is None:
-                fresh.append(p)
-            elif owner is target and not owner.is_sealed:
-                owner.upsert(p)
-            else:
-                owner.delete(p.id)
-                del self._id_to_segment[p.id]
-                self._journal_if_pinned(owner, ("delete", p.id))
-                fresh.append(p)
-        # Append fresh points, splitting across segments at max_segment_size.
-        max_size = self.config.optimizer.max_segment_size
-        while fresh:
-            if max_size is None:
-                target.upsert_batch(fresh)
-                self._register_fresh((p.id for p in fresh), target)
-                fresh = []
-            else:
-                room = max_size - len(target)
-                if room <= 0:
-                    target.seal()
-                    target = self._appendable_segment()
-                    continue
-                target.upsert_batch(fresh[:room])
-                self._register_fresh((p.id for p in fresh[:room]), target)
-                fresh = fresh[room:]
-                if len(target) >= max_size:
-                    target.seal()
-
-    def _columnar_log_arrays(
-        self, points: Sequence[PointStruct]
-    ) -> tuple[np.ndarray, np.ndarray, list]:
-        """Row-wise points -> (ids, vectors, payloads) for columnar logging."""
-        if not points:
-            dim = self.config.vectors.size
-            return (
-                np.empty(0, dtype=np.int64),
-                np.empty((0, dim), dtype=np.float32),
-                [],
-            )
-        ids = np.asarray([p.id for p in points], dtype=np.int64)
-        vectors = np.stack([p.as_array() for p in points])
-        payloads = [dict(p.payload) if p.payload else None for p in points]
-        return ids, vectors, payloads
-
-    def _check_retired(self) -> None:
-        """Refuse mutations on a handed-off shard (caller holds _write_lock)."""
-        if self._retired:
-            raise CollectionNotFoundError(self.config.name)
-
-    def upsert(self, points: Sequence[PointStruct] | PointStruct) -> UpdateResult:
-        """Insert or overwrite points; runs the optimizer afterwards."""
-        if isinstance(points, PointStruct):
-            points = [points]
-        with self._write_lock:
-            self._check_retired()
-            if self._wal is not None:
-                self._log_columnar(*self._columnar_log_arrays(points))
-            self._apply_upsert(points)
-            if self._migration is not None:
-                journal = self._migration.journal
-                for p in points:
-                    journal.append(
-                        (
-                            "upsert",
-                            p.id,
-                            np.array(p.as_array(), dtype=np.float32, copy=True),
-                            dict(p.payload) if p.payload else None,
-                        )
-                    )
-            self._maybe_optimize()
-            self._generation += 1
-            self._operation_counter += 1
-            return UpdateResult(self._operation_counter, UpdateStatus.COMPLETED)
-
-    def _apply_upsert_arrays(self, ids, vectors: np.ndarray, payloads: list) -> None:
-        """Apply a columnar upsert: vectorized append of fresh ids, per-point
-        overwrite for ids that already exist anywhere in the collection."""
-        int_ids = [int(pid) for pid in ids]
+    def _apply_upsert(self, op: Upsert) -> None:
+        """Apply an upsert block.  An id already in the appendable segment is
+        overwritten in place; one in an older (sealed or pinned) segment is
+        tombstoned there — the id map finds the owner, no scan — and appended
+        afresh.  Appends are columnar, split at ``max_segment_size``."""
+        ids, vectors, payloads = op.ids, op.vectors, op.payloads
+        id_list = ids.tolist()
         id_map = self._id_to_segment
-        existing_rows = [i for i, pid in enumerate(int_ids) if pid in id_map]
-        if existing_rows:
-            self._apply_upsert(
-                [
-                    PointStruct(id=int_ids[i], vector=vectors[i], payload=payloads[i])
-                    for i in existing_rows
-                ]
-            )
-        if len(existing_rows) == len(int_ids):
-            return
-        fresh_mask = np.ones(len(int_ids), dtype=bool)
-        fresh_mask[existing_rows] = False
-        rows = np.nonzero(fresh_mask)[0]
         target = self._appendable_segment()
-        target.upsert_columnar(
-            np.asarray(ids)[rows],
-            np.asarray(vectors)[rows],
-            [payloads[int(r)] for r in rows],
-        )
-        self._register_fresh((int_ids[int(r)] for r in rows), target)
+        fresh: list[int] = []
+        for row, pid in enumerate(id_list):
+            owner = id_map.get(pid)
+            if owner is target and not owner.is_sealed:
+                owner.upsert(PointStruct(id=pid, vector=vectors[row], payload=payloads[row]))
+                continue
+            if owner is not None:
+                owner.delete(pid)
+                del id_map[pid]
+            fresh.append(row)
+        if len(fresh) < len(id_list):
+            ids, vectors = ids[fresh], vectors[fresh]
+            payloads = [payloads[r] for r in fresh]
+            id_list = [id_list[r] for r in fresh]
         max_size = self.config.optimizer.max_segment_size
-        if max_size is not None and len(target) >= max_size:
-            target.seal()
-
-    def upsert_columnar(self, batch) -> UpdateResult:
-        """Columnar fast-path upsert (Qdrant ``Batch`` semantics).
-
-        Fresh ids take one vectorized append per segment; ids that already
-        exist anywhere fall back to the per-point overwrite path.  The WAL
-        record is columnar too — the vector block is logged as raw ndarray
-        bytes, never materialized as Python lists.
-        """
-        from .batch import Batch
-
-        if not isinstance(batch, Batch):
-            raise TypeError("upsert_columnar expects a core.batch.Batch")
-        batch.validate(expected_dim=self.config.vectors.size)
-        with self._write_lock:
-            self._check_retired()
-            if self._wal is not None:
-                self._log_columnar(batch.ids, batch.vectors, batch.payloads)
-            self._apply_upsert_arrays(batch.ids, batch.vectors, batch.payloads)
-            if self._migration is not None:
-                journal = self._migration.journal
-                for i, pid in enumerate(batch.ids.tolist()):
-                    payload = batch.payloads[i]
-                    journal.append(
-                        (
-                            "upsert",
-                            pid,
-                            np.array(batch.vectors[i], dtype=np.float32, copy=True),
-                            dict(payload) if payload else None,
-                        )
-                    )
-            self._maybe_optimize()
-            self._generation += 1
-            self._operation_counter += 1
-            return UpdateResult(self._operation_counter, UpdateStatus.COMPLETED)
-
-    def _journal_if_pinned(self, seg: Segment, entry: tuple) -> None:
-        """Record a mutation against a pinned segment for swap-time replay."""
-        if self._maint_journal is not None and seg.segment_id in self._maint_pinned:
-            self._maint_journal.append(entry)
+        start = 0
+        while start < len(id_list):
+            room = len(id_list) if max_size is None else max_size - len(target)
+            if room <= 0:
+                target.seal()
+                target = self._appendable_segment()
+                continue
+            end = start + room
+            target.upsert_columnar(ids[start:end], vectors[start:end], payloads[start:end])
+            self._register_fresh(id_list[start:end], target)
+            start = end
+            if max_size is not None and len(target) >= max_size:
+                target.seal()
 
     def _apply_delete(self, point_id: PointId) -> bool:
         seg = self._id_to_segment.pop(point_id, None)
         if seg is None:
             return False
         seg.delete(point_id)
-        self._journal_if_pinned(seg, ("delete", point_id))
-        if self._migration is not None:
-            self._migration.journal.append(("delete", point_id))
         return True
+
+    # An op is validated whole before any of it is logged or applied, so a
+    # rejected op writes no record and changes nothing.
+
+    def _check_retired(self) -> None:
+        """Refuse mutations on a handed-off shard (caller holds _write_lock)."""
+        if self._retired:
+            raise CollectionNotFoundError(self.config.name)
+
+    def _check_present(self, point_ids: Sequence[PointId]) -> None:
+        id_map = self._id_to_segment
+        for pid in point_ids:
+            if pid not in id_map:
+                raise PointNotFoundError(pid)
+
+    def _log_op(self, op: Op) -> None:
+        """Append ``op`` to the WAL and keep it in every open journal; while
+        a journal is open, ``op`` must share no array with the caller."""
+        if self._wal is not None:
+            op.log(self._wal)
+        if self._maint_journal is not None:
+            self._maint_journal.append(op)
+        if self._migration is not None:
+            self._migration.journal.append(op)
+
+    def _write(self, op: Op) -> int:
+        """The write entry of one validated op (caller holds _write_lock):
+        log it, apply it, kick maintenance and fence cached results.
+        Returns the point mutations applied."""
+        self._log_op(op)
+        # Bumped before the body as well as after it: a lock-free search
+        # that overlaps the body never reads one generation on both sides.
+        self._generation += 1
+        applied = replay((op,), _Apply(self))
+        self._maybe_optimize()
+        self._generation += 1
+        self._operation_counter += 1
+        return applied
+
+    def upsert(self, points: Sequence[PointStruct] | PointStruct) -> UpdateResult:
+        """Insert or overwrite points; runs the optimizer afterwards."""
+        if isinstance(points, PointStruct):
+            points = [points]
+        return self._upsert(Upsert.of_points(points, self.config.vectors.size))
+
+    def upsert_columnar(self, batch) -> UpdateResult:
+        """Columnar fast-path upsert (Qdrant ``Batch`` semantics).
+
+        Same write as :meth:`upsert`, minus the row-to-column conversion:
+        the batch's arrays are the record, and the WAL logs the vector block
+        as raw ndarray bytes, never materialized as Python lists.
+        """
+        from .batch import Batch
+
+        if not isinstance(batch, Batch):
+            raise TypeError("upsert_columnar expects a core.batch.Batch")
+        batch.validate(expected_dim=self.config.vectors.size)
+        return self._upsert(Upsert(batch.ids, batch.vectors, batch.payloads))
+
+    def _upsert(self, op: Upsert) -> UpdateResult:
+        with self._write_lock:
+            self._check_retired()
+            if self._maint_journal is not None or self._migration is not None:
+                op = op.owned()  # a journal keeps it past this call
+            self._write(op)
+            return UpdateResult(self._operation_counter, UpdateStatus.COMPLETED)
 
     def delete(self, point_ids: Sequence[PointId] | PointId) -> UpdateResult:
         if isinstance(point_ids, int):
             point_ids = [point_ids]
+        point_ids = list(point_ids)
         with self._write_lock:
             self._check_retired()
-            self._log("delete", list(point_ids))
-            for pid in point_ids:
-                if not self._apply_delete(pid):
-                    raise PointNotFoundError(pid)
-            self._maybe_optimize()
-            self._generation += 1
-            self._operation_counter += 1
+            self._check_present(point_ids)
+            self._write(Delete(point_ids))
             return UpdateResult(self._operation_counter, UpdateStatus.COMPLETED)
-
-    def _apply_set_payload(self, point_id: PointId, payload: Mapping[str, Any] | None) -> None:
-        seg = self._id_to_segment.get(point_id)
-        if seg is None:
-            raise PointNotFoundError(point_id)
-        seg.set_payload(point_id, payload)
-        self._journal_if_pinned(
-            seg, ("payload", point_id, dict(payload) if payload is not None else None)
-        )
-        if self._migration is not None:
-            self._migration.journal.append(
-                ("payload", point_id, dict(payload) if payload is not None else None)
-            )
 
     def set_payload(self, point_id: PointId, payload: Mapping[str, Any] | None) -> UpdateResult:
         with self._write_lock:
             self._check_retired()
-            self._log("set_payload", (point_id, dict(payload) if payload else None))
-            self._apply_set_payload(point_id, payload)
-            self._generation += 1
-            self._operation_counter += 1
+            self._check_present((point_id,))
+            self._write(SetPayload(point_id, own_payload(payload)))
             return UpdateResult(self._operation_counter, UpdateStatus.COMPLETED)
 
     def create_payload_index(self, key: str, *, kind: str = "keyword") -> None:
@@ -525,15 +429,8 @@ class Collection:
         if kind not in ("keyword", "numeric"):
             raise ValueError(f"unknown payload index kind {kind!r}")
         with self._write_lock:
-            for seg in self._segments:
-                if kind == "keyword":
-                    seg.payload_store.create_keyword_index(key)
-                else:
-                    seg.payload_store.create_numeric_index(key)
-            # Replacement segments being built off a pinned snapshot copied
-            # the *old* index set; journal the creation so they catch up.
-            if self._maint_journal is not None:
-                self._maint_journal.append(("pindex", key, kind))
+            self._check_retired()
+            self._write(PayloadIndex(key, kind))
 
     # -- maintenance ---------------------------------------------------------------------
     #
@@ -590,60 +487,39 @@ class Collection:
                 f"maintenance snapshot (generation {snapshot.generation}) "
                 "is no longer the collection's active pass"
             )
-        journal = self._maint_journal or []
-        self._apply_plan_locked(plan, journal)
+        reconciled = self._apply_plan_locked(plan, self._maint_journal or ())
         self._maint_pinned = set()
         self._maint_journal = None
         self._maint_active = None
         self._generation += 1
         self._last_report = plan.report
-        self.maint_stats.record(plan.did_work, len(journal))
+        self.maint_stats.record(plan.did_work, reconciled)
         return plan.report
 
-    def _apply_plan_locked(
-        self, plan: MaintenancePlan, journal: Sequence[tuple] = ()
-    ) -> None:
+    def _apply_plan_locked(self, plan: MaintenancePlan, journal: Sequence[Op] = ()) -> int:
         """Swap a plan in: install indexes, reconcile the journal, splice.
 
         Runs under ``_write_lock`` and is O(installs + journal + moved
         points) — never O(collection): the id map is repointed only for
-        points that changed segments, not rebuilt from scratch.
+        points that changed segments, not rebuilt from scratch.  Returns
+        the point mutations the journal re-imposed on the replacements.
         """
         for ins in plan.installs:
             ins.segment.install_index(ins.index, ins.index_kind)
             if ins.quantizer is not None:
                 ins.segment.adopt_quantization(ins.quantizer, ins.codes)
         if not plan.replacements:
-            return
+            return 0
         fresh = [rep.segment for rep in plan.replacements if rep.segment is not None]
-        # Replay mutations that hit pinned source segments mid-pass, in
-        # arrival order, onto whichever replacement carries the point now.
-        for entry in journal:
-            op = entry[0]
-            if op == "delete":
-                pid = entry[1]
-                for seg in fresh:
-                    if seg.contains(pid):
-                        seg.delete(pid)
-                        break
-            elif op == "payload":
-                _, pid, payload = entry
-                for seg in fresh:
-                    if seg.contains(pid):
-                        seg.set_payload(pid, payload)
-                        break
-            elif op == "pindex":
-                _, key, index_kind = entry
-                for seg in fresh:
-                    if index_kind == "keyword":
-                        seg.payload_store.create_keyword_index(key)
-                    else:
-                        seg.payload_store.create_numeric_index(key)
+        # Replay the ops written mid-pass, in arrival order, onto the
+        # replacements built from the pinned snapshot.
+        reconciled = replay(journal, _Replacements(fresh))
         self._segments = splice_segments(self._segments, plan.replacements)
         id_map = self._id_to_segment
         for seg in fresh:
             for pid in seg.point_ids():
                 id_map[pid] = seg
+        return reconciled
 
     def run_maintenance_pass(self) -> OptimizerReport:
         """One full copy-on-write optimizer pass (snapshot → plan → swap).
@@ -728,7 +604,7 @@ class Collection:
     # releases the pins.  On the *target*: ``apply_migration_entries``
     # replays a drained journal tolerantly (idempotent upsert, delete/payload
     # only if present), so a chunk re-sent after a transport retry or a
-    # double-applied journal entry cannot diverge the copy.
+    # double-applied journal record cannot diverge the copy.
 
     def begin_migration(self) -> int:
         """Pin a migration snapshot and open the mutation journal.
@@ -797,15 +673,14 @@ class Collection:
                 "next_cursor": next_cursor,
             }
 
-    def drain_migration_journal(self) -> list[tuple]:
-        """Hand over (and clear) the mutations captured since the last drain."""
+    def drain_migration_journal(self) -> list[Op]:
+        """Hand over (and clear) the op records kept since the last drain."""
         with self._write_lock:
             mig = self._migration
             if mig is None:
                 return []
             entries = mig.journal
             mig.journal = []
-            mig.drained += len(entries)
             return entries
 
     def end_migration(self, *, retire: bool = False) -> dict:
@@ -826,17 +701,10 @@ class Collection:
                 self._retired = True
                 self._generation += 1
             if mig is None:
-                return {
-                    "rows_total": 0,
-                    "rows_exported": 0,
-                    "journal_drained": 0,
-                    "journal": [],
-                }
-            mig.drained += len(mig.journal)
+                return {"rows_total": 0, "rows_exported": 0, "journal": []}
             return {
                 "rows_total": mig.rows_total,
                 "rows_exported": mig.rows_exported,
-                "journal_drained": mig.drained,
                 "journal": mig.journal,
             }
 
@@ -850,35 +718,16 @@ class Collection:
                 "active": True,
                 "rows_total": mig.rows_total,
                 "rows_exported": mig.rows_exported,
-                "journal_pending": len(mig.journal),
-                "journal_drained": mig.drained,
+                "journal_pending": point_count(mig.journal),
             }
 
-    def apply_migration_entries(self, entries: Sequence[tuple]) -> int:
-        """Replay drained journal entries in order, tolerantly (target side)."""
-        applied = 0
+    def apply_migration_entries(self, entries: Sequence[Op]) -> int:
+        """Replay drained journal records in order (target side): each is one
+        tolerant write through :meth:`_write`.  Returns the point mutations
+        applied."""
         with self._write_lock:
-            for entry in entries:
-                op = entry[0]
-                if op == "upsert":
-                    _, pid, vec, payload = entry
-                    self.upsert(
-                        PointStruct(
-                            id=pid,
-                            vector=np.asarray(vec, dtype=np.float32),
-                            payload=payload,
-                        )
-                    )
-                    applied += 1
-                elif op == "delete":
-                    if entry[1] in self._id_to_segment:
-                        self.delete(entry[1])
-                        applied += 1
-                elif op == "payload":
-                    if entry[1] in self._id_to_segment:
-                        self.set_payload(entry[1], entry[2])
-                        applied += 1
-        return applied
+            self._check_retired()
+            return sum(self._write(op) for op in entries)
 
     def build_index(
         self,
@@ -1114,3 +963,70 @@ class Collection:
             driver.stop()
         if self._wal is not None:
             self._wal.close()
+
+
+def _index_payload(segments: Sequence[Segment], op: PayloadIndex) -> None:
+    for seg in segments:
+        store = seg.payload_store
+        (store.create_keyword_index if op.kind == "keyword" else store.create_numeric_index)(op.key)
+
+
+class _Apply:
+    """Replay target applying ops to a collection as they are: no log, no
+    generation bump.  Deletes and payload edits skip absent ids, so a record
+    applied twice, or a log written before ops were validated whole, cannot
+    fail."""
+
+    def __init__(self, collection: Collection):
+        self._col = collection
+
+    def upsert(self, op: Upsert) -> int:
+        self._col._apply_upsert(op)
+        return op.points
+
+    def delete(self, op: Delete) -> int:
+        return sum(self._col._apply_delete(pid) for pid in op.ids)
+
+    def set_payload(self, op: SetPayload) -> int:
+        seg = self._col._id_to_segment.get(op.id)
+        if seg is not None:
+            seg.set_payload(op.id, op.payload)
+        return int(seg is not None)
+
+    def payload_index(self, op: PayloadIndex) -> int:
+        _index_payload(self._col._segments, op)
+        return 0
+
+
+class _Replacements:
+    """Replay target at a maintenance swap: the replacement segments built
+    from the pinned snapshot.  An upsert lands outside the pinned segments,
+    so a snapshot copy of its ids is stale and goes, as for a delete."""
+
+    def __init__(self, fresh: list[Segment]):
+        self._fresh = fresh
+
+    def _owner(self, point_id: PointId) -> Segment | None:
+        return next((seg for seg in self._fresh if seg.contains(point_id)), None)
+
+    def upsert(self, op: Upsert) -> int:
+        return self.delete(Delete(op.ids.tolist()))
+
+    def delete(self, op: Delete) -> int:
+        removed = 0
+        for pid in op.ids:
+            seg = self._owner(pid)
+            if seg is not None:
+                seg.delete(pid)
+                removed += 1
+        return removed
+
+    def set_payload(self, op: SetPayload) -> int:
+        seg = self._owner(op.id)
+        if seg is not None:
+            seg.set_payload(op.id, op.payload)
+        return int(seg is not None)
+
+    def payload_index(self, op: PayloadIndex) -> int:
+        _index_payload(self._fresh, op)
+        return 0

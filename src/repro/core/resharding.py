@@ -31,7 +31,7 @@ source and stays active through cutover, replay on the target is tolerant
 and idempotent (re-applied upserts overwrite; deletes/payload edits apply
 only if the point exists), and the final replay happens under a fence with
 no writer in flight — so every interleaving of copy chunks, double writes
-and journal entries re-converges to the source's mutation order.
+and journal records re-converges to the source's mutation order.
 
 A move whose source dies mid-protocol falls back to a bulk pull from any
 surviving replica (or, with no survivors, a lossy empty target — counted
@@ -53,6 +53,7 @@ from ..obs.clock import monotonic
 from ..obs.metrics import Counters
 from ..obs.trace import get_tracer
 from .errors import TransportError
+from .ops import point_count
 from .router import PlacementPlan, ShardMove
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -81,7 +82,7 @@ class ReshardConfig:
     throttle_bytes_per_s: float | None = None
     #: Max catch-up rounds before forcing cutover regardless of backlog.
     catchup_rounds: int = 8
-    #: Journal backlog (entries per drain) considered "settled" — small
+    #: Journal backlog (point mutations per drain) considered "settled" — small
     #: enough that the fenced final replay stays a bounded pause.
     catchup_settle_entries: int = 16
     #: Background driver poll interval.
@@ -449,6 +450,22 @@ class ReshardCoordinator:
         bytes_copied = 0
         replayed = 0
         t_move = monotonic()
+
+        def catch_up(entries) -> int:
+            """Replay one drained journal slice on the target; returns its
+            point mutations."""
+            nonlocal replayed
+            if entries:
+                replayed += cluster._call_with_retry(  # noqa: SLF001
+                    target, "apply_shard_journal", name, shard_id, entries
+                )
+            return point_count(entries)
+
+        def drain():
+            return cluster._call_with_retry(  # noqa: SLF001
+                source, "drain_shard_journal", name, shard_id
+            )
+
         try:
             with tracer.span(
                 "reshard.move",
@@ -510,14 +527,7 @@ class ReshardCoordinator:
                 # Phase 2: replay journal rounds until the backlog settles.
                 t_catch = monotonic()
                 for _ in range(max(1, cfg.catchup_rounds)):
-                    entries = cluster._call_with_retry(  # noqa: SLF001
-                        source, "drain_shard_journal", name, shard_id
-                    )
-                    if entries:
-                        replayed += cluster._call_with_retry(  # noqa: SLF001
-                            target, "apply_shard_journal", name, shard_id, entries
-                        )
-                    if len(entries) <= cfg.catchup_settle_entries:
+                    if catch_up(drain()) <= cfg.catchup_settle_entries:
                         break
                 self._hist_catchup.observe(monotonic() - t_catch)
                 # Phase 3: fenced cutover.
@@ -530,28 +540,14 @@ class ReshardCoordinator:
                     # Fence 1: sync the target and open double-writing; the
                     # target is now a readable failover replica.
                     with mig.gate.fence():
-                        entries = cluster._call_with_retry(  # noqa: SLF001
-                            source, "drain_shard_journal", name, shard_id
-                        )
-                        if entries:
-                            replayed += cluster._call_with_retry(  # noqa: SLF001
-                                target, "apply_shard_journal", name, shard_id,
-                                entries,
-                            )
+                        catch_up(drain())
                         mig.double_write = True
                         mig.readable = True
                     # Fence 2: final journal slice (double-write-phase
                     # interleavings re-imposed in source order), then the
                     # atomic per-shard plan swap.
                     with mig.gate.fence():
-                        entries = cluster._call_with_retry(  # noqa: SLF001
-                            source, "drain_shard_journal", name, shard_id
-                        )
-                        if entries:
-                            replayed += cluster._call_with_retry(  # noqa: SLF001
-                                target, "apply_shard_journal", name, shard_id,
-                                entries,
-                            )
+                        catch_up(drain())
                         epoch = state.plan.apply_move(shard_id, desired)
                         cluster._unregister_migration(mig)  # noqa: SLF001
                         registered = False
@@ -579,11 +575,7 @@ class ReshardCoordinator:
                     retire=source not in desired,
                 )
                 began = False
-                entries = out.get("journal") or []
-                if entries:
-                    replayed += cluster._call_with_retry(  # noqa: SLF001
-                        target, "apply_shard_journal", name, shard_id, entries
-                    )
+                catch_up(out.get("journal") or [])
                 if source not in desired:
                     try:
                         cluster._call_with_retry(  # noqa: SLF001

@@ -193,9 +193,10 @@ class Segment:
         offsets = self._arena.extend(vectors)
         if self._codes is not None:  # codes before ids, as in upsert
             self._codes.extend(self._quantizer.encode(vectors))
-        self._ids.register_batch([int(i) for i in ids], offsets)
-        for pid, payload in zip(ids, payloads):
-            self._payloads.set(int(pid), payload)
+        id_list = np.asarray(ids, dtype=np.int64).tolist()
+        self._ids.register_batch(id_list, offsets)
+        for pid, payload in zip(id_list, payloads):
+            self._payloads.set(pid, payload)
         if self._index is not None and self._index.supports_incremental_add:
             for off, vec in zip(offsets, vectors):
                 self._index.add(int(off), vec)

@@ -1,15 +1,15 @@
 """Write-ahead log.
 
 A length-prefixed, checksummed record log used by collections for
-durability of mutating operations (upsert / delete / set-payload).  Records
-are framed as::
+durability of their mutation ops (:mod:`repro.core.ops`).  Records are
+framed as::
 
     magic(4) | seq(8) | crc32(4) | length(4) | payload(length)
 
 Two record kinds share the frame, distinguished by the magic:
 
-* ``RWAL`` — ``payload`` is a pickled ``(op, data)`` tuple (row-wise
-  operations: deletes, payload updates, legacy upserts);
+* ``RWAL`` — ``payload`` is a pickled ``(op, data)`` tuple (every op but
+  the upsert: deletes, payload updates, payload-index creation);
 * ``RWCL`` — a **columnar upsert**: ``payload`` is a small pickled header
   (dtype, shape, payload flag) followed by the raw ``ids`` buffer and the
   raw vector matrix bytes.  Appending one never materializes Python lists
@@ -70,7 +70,7 @@ class WalRecord:
     """One logged operation."""
 
     seq: int
-    op: str           # "upsert" | "upsert_columnar" | "delete" | "set_payload" | ...
+    op: str           # "upsert_columnar" | "delete" | "set_payload" | "payload_index"
     data: Any         # op-specific payload
 
 

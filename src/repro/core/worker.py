@@ -30,6 +30,7 @@ from .collection import Collection
 from .errors import BadRequestError, ShardRetiredError
 from .filters import Condition
 from .maintenance import MaintenanceDriver
+from .ops import Op
 from .optimizer import OptimizerReport
 from .types import (
     CollectionConfig,
@@ -197,7 +198,7 @@ class Worker:
         """Export one chunk of the pinned migration snapshot."""
         return self._shard(collection, shard_id).migration_chunk(cursor, max_rows)
 
-    def drain_shard_journal(self, collection: str, shard_id: int) -> list[tuple]:
+    def drain_shard_journal(self, collection: str, shard_id: int) -> list[Op]:
         return self._shard(collection, shard_id).drain_migration_journal()
 
     def end_shard_migration(
@@ -230,9 +231,9 @@ class Worker:
         return n
 
     def apply_shard_journal(
-        self, collection: str, shard_id: int, entries: list[tuple]
+        self, collection: str, shard_id: int, entries: list[Op]
     ) -> int:
-        """Replay drained journal entries on the migration target."""
+        """Replay drained journal records on the migration target."""
         return self._shard(collection, shard_id).apply_migration_entries(entries)
 
     def migration_stats(self, collection: str, shard_id: int) -> dict:

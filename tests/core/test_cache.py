@@ -25,6 +25,7 @@ from repro.core import (
     VectorParams,
 )
 from repro.core.cluster import Cluster
+from repro.core.errors import PointNotFoundError
 from repro.core.scheduler import CoalescePolicy, QueryCoalescer
 from repro.core.transport import (
     FaultInjectingTransport,
@@ -356,6 +357,34 @@ class TestClusterCache:
         assert fresh[0].id == 10_000
         snap = cluster.result_cache.stats.snapshot()
         assert snap["invalidations"] == 1
+        cluster.close()
+
+    def test_failed_multi_shard_delete_still_fences(self):
+        """The first shard applies its part of a delete and the second
+        rejects its absent id: the write failed, but the cache is fenced."""
+        cluster = make_cluster(n_workers=2, shard_number=2)
+        router = cluster._state("papers").router
+        victim = next(p for p in points(N_POINTS) if router.shard_for(p.id) == 0)
+        absent = next(i for i in range(10**6, 10**6 + 64) if router.shard_for(i) == 1)
+        request = SearchRequest(vector=victim.vector, limit=5)
+        assert cluster.search("papers", request)[0].id == victim.id
+        with pytest.raises(PointNotFoundError):
+            cluster.delete("papers", [victim.id, absent])
+        assert all(h.id != victim.id for h in cluster.search("papers", request))
+        cluster.close()
+
+    def test_rejected_delete_changes_no_shard(self):
+        """A shard that rejects a delete deletes none of it, so what the
+        cache holds for that shard stays the truth."""
+        cluster = make_cluster(n_workers=1, shard_number=1)
+        victim = points(N_POINTS)[7]
+        request = SearchRequest(vector=victim.vector, limit=5)
+        cached = cluster.search("papers", request)
+        assert cached[0].id == victim.id
+        with pytest.raises(PointNotFoundError):
+            cluster.delete("papers", [victim.id, 10**6])
+        assert cluster.retrieve("papers", victim.id).id == victim.id
+        assert hit_keys(cluster.search("papers", request)) == hit_keys(cached)
         cluster.close()
 
     def test_shard_tier_skips_untouched_shards(self):

@@ -17,7 +17,7 @@ from repro.core import (
     VectorParams,
     WalConfig,
 )
-from repro.core.errors import PointNotFoundError
+from repro.core.errors import DimensionMismatchError, PointNotFoundError
 
 DIM = 10
 
@@ -224,6 +224,64 @@ class TestWal:
         revived = Collection(cfg)
         assert len(revived) == 0  # snapshot-less checkpoint discards history
         revived.close()
+
+
+class TestRejectedOpsChangeNothing:
+    """An op is validated whole before the WAL or any segment sees it: a
+    rejected op writes no record and changes nothing, so the collection
+    still reopens from its WAL."""
+
+    def wal_col(self, tmp_path, **optimizer):
+        cfg = CollectionConfig(
+            "rej", VectorParams(size=DIM, distance=Distance.COSINE),
+            optimizer=OptimizerConfig(indexing_threshold=0, **optimizer),
+            wal=WalConfig(enabled=True, path=str(tmp_path / "rej.wal")),
+        )
+        return cfg, Collection(cfg)
+
+    def reopen(self, cfg):
+        revived = Collection(cfg)
+        state = sorted(
+            (r.id, r.payload) for r in revived.scroll(limit=1000)[0]
+        )
+        revived.close()
+        return state
+
+    def test_set_payload_of_absent_id(self, tmp_path):
+        cfg, col = self.wal_col(tmp_path)
+        col.upsert(points(3))
+        appends = col.wal_stats[0]
+        with pytest.raises(PointNotFoundError):
+            col.set_payload(99, {"x": 1})
+        assert col.wal_stats[0] == appends
+        col.close()
+        assert self.reopen(cfg) == [(i, {"g": i % 3}) for i in range(3)]
+
+    def test_wrong_dimension_row_upsert_over_sealed_point(self, tmp_path):
+        cfg, col = self.wal_col(tmp_path, max_segment_size=2)
+        col.upsert(points(3))  # ids 0, 1 fill and seal the first segment
+        assert col.segments[0].is_sealed and col.segments[0].contains(1)
+        generation, appends = col.generation, col.wal_stats[0]
+        with pytest.raises(DimensionMismatchError):
+            col.upsert([PointStruct(id=1, vector=np.ones(DIM + 1))])
+        with pytest.raises(DimensionMismatchError):  # mixed widths in one op
+            col.upsert([PointStruct(id=5, vector=np.ones(DIM)),
+                        PointStruct(id=6, vector=np.ones(DIM - 1))])
+        assert col.contains(1) and len(col) == 3
+        assert (col.generation, col.wal_stats[0]) == (generation, appends)
+        col.close()
+        assert [pid for pid, _ in self.reopen(cfg)] == [0, 1, 2]
+
+    def test_delete_with_an_absent_id(self, tmp_path):
+        cfg, col = self.wal_col(tmp_path)
+        col.upsert(points(3))
+        generation, appends = col.generation, col.wal_stats[0]
+        with pytest.raises(PointNotFoundError):
+            col.delete([1, 99])
+        assert col.contains(1) and len(col) == 3
+        assert (col.generation, col.wal_stats[0]) == (generation, appends)
+        col.close()
+        assert [pid for pid, _ in self.reopen(cfg)] == [0, 1, 2]
 
 
 class TestPayloadIndex:

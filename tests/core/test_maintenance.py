@@ -11,6 +11,7 @@ from repro.core.collection import Collection
 from repro.core.errors import MaintenanceConflictError, PointNotFoundError
 from repro.core.filters import FieldMatch, FieldRange
 from repro.core.maintenance import MaintenanceDriver
+from repro.core.ops import Upsert
 from repro.core.optimizer import SegmentOptimizer
 from repro.core.segment import Segment
 from repro.core.types import (
@@ -427,7 +428,7 @@ class TestMaintenanceDriver:
         cfg = config(indexing_threshold=30)
         col = Collection(cfg)
         driver = MaintenanceDriver(col, interval_s=60.0).start()  # never wakes
-        col._apply_upsert(points(50))  # bypass kick: simulate a missed nudge
+        col._apply_upsert(Upsert.of_points(points(50), DIM))  # bypass kick: a missed nudge
         driver.stop(drain=True)
         assert col.indexed_vectors_count >= 50
         check_invariants(col)

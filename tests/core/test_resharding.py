@@ -397,7 +397,7 @@ class TestWorkerMigrationRPCs:
             cursor = chunk["next_cursor"]
         assert rows == 20
         entries = src.drain_shard_journal("papers", 0)
-        assert len(entries) == 3
+        assert sum(len(op.ids) for op in entries) == 3
         assert dst.apply_shard_journal("papers", 0, entries) == 3
         out = src.end_shard_migration("papers", 0)
         assert out["rows_exported"] == 20
